@@ -24,7 +24,7 @@ Three parity legs guard the speedup:
 
 * **BR identity** — the speculative bisection consumes bitwise the same
   probe resistances as the serial loop (see
-  :func:`repro.experiments.array._midpoint_tree`), so the returned
+  :func:`repro.analysis.border.bisect_lattice`), so the returned
   border must be *exactly* equal, per kind, on both trim policies;
 * **trajectory** — :class:`~repro.dram.runner.ArrayLaneRunner` recorded
   waveforms vs the serial :class:`~repro.dram.runner.ArrayRunner`, per

@@ -4,7 +4,8 @@ BR is the resistive value of a defect at which the memory starts to show
 faulty behaviour (Sec. 3, citing [Al-Ars02]).  Opens fail *above* their
 border; shorts and bridges fail *below* it.  The search bisects in log
 space over a detection predicate: "does this operation sequence observe a
-functional fault at resistance R?".
+functional fault at resistance R?".  That bisection, like every other
+border search in the repo, runs through :func:`bisect_lattice`.
 
 The default predicate uses a saturating charge phase (several ``w1``/``w0``
 operations) so the detection is not limited by incomplete charging — the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.analysis.interface import ColumnModel, opposite_rail_init
 from repro.dram.ops import parse_ops
@@ -150,12 +151,12 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
     monotone predicate a verified leaf pins every branch the plain
     bisection would have taken, so the returned border is **bitwise
     identical** at a fraction of the probes (see
-    :func:`_prior_guided_search`).  A wrong prior only costs extra
-    probes — every return path either verifies against real probes or
-    falls back to the plain loop (reusing probe outcomes), never
-    trusting the estimate itself.  Priors are ignored under
-    ``on_error="isolate"``, where nudged/failed probes would make the
-    probe-for-probe accounting diverge from the serial search.
+    :func:`bisect_lattice`).  A wrong prior only costs extra probes —
+    every return path either verifies against real probes or falls back
+    to the plain search (reusing probe outcomes), never trusting the
+    estimate itself.  Priors are ignored under ``on_error="isolate"``,
+    where nudged/failed probes would make the probe-for-probe
+    accounting diverge from the serial search.
 
     ``on_error="isolate"`` makes the search survive probes whose
     simulation fails: a failed probe point is retried at slightly nudged
@@ -171,27 +172,7 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
     if predicate is None:
         predicate = default_fault_predicate(
             model, sequences or DEFAULT_PROBE_SEQUENCES)
-
-    if (prior is not None and on_error == "raise"
-            and math.isfinite(prior) and prior > 0):
-        memo: dict[float, bool] = {}
-        raw_predicate = predicate
-
-        def memo_predicate(r: float) -> bool:
-            if r not in memo:
-                memo[r] = raw_predicate(r)
-            return memo[r]
-
-        result = _prior_guided_search(
-            memo_predicate, fails_high=fails_high, r_lo=r_lo, r_hi=r_hi,
-            rel_tol=rel_tol, prior=prior)
-        if result is not None:
-            return result
-        # Guided search gave up (non-monotone probe outcomes or too many
-        # rounds): run the plain loop below, reusing every probe already
-        # taken.
-        predicate = memo_predicate
-
+    lattice = log_lattice(rel_tol)
     n_failed = 0
 
     def probe(resistance: float) -> bool | None:
@@ -208,6 +189,35 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
                 _log_failed_probe(r, exc)
         return None
 
+    def side(resistance: float, *_) -> bool | None:
+        """True when ``resistance`` lies on ``r_hi``'s side of the
+        border: faulty for opens, fault-free for shorts."""
+        faulty = probe(resistance)
+        return None if faulty is None else faulty == fails_high
+
+    def found(lo: float, hi: float) -> BorderResult:
+        return BorderResult(math.sqrt(lo * hi), fails_high,
+                            always_faulty=False, never_faulty=False,
+                            r_lo=r_lo, r_hi=r_hi, n_failed_probes=n_failed)
+
+    if (prior is not None and on_error == "raise"
+            and math.isfinite(prior) and prior > 0):
+        memo: dict[float, bool] = {}
+        raw_predicate = predicate
+
+        def memo_predicate(r: float) -> bool:
+            if r not in memo:
+                memo[r] = raw_predicate(r)
+            return memo[r]
+
+        predicate = memo_predicate
+        leaf = bisect_lattice(lattice, r_lo, r_hi, side, prior=prior)
+        if leaf is not None:
+            return found(*leaf)
+        # Guided search gave up (non-monotone probe outcomes, a
+        # degenerate-looking range or too many rounds): run the plain
+        # search below, reusing every probe already taken.
+
     lo_faulty = probe(r_lo)
     hi_faulty = probe(r_hi)
     if lo_faulty is None or hi_faulty is None:
@@ -216,8 +226,6 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
         return BorderResult(None, fails_high, always_faulty=False,
                             never_faulty=False, r_lo=r_lo, r_hi=r_hi,
                             n_failed_probes=n_failed)
-    faulty_end = r_hi if fails_high else r_lo
-    clean_end = r_lo if fails_high else r_hi
     faulty_at_faulty_end = hi_faulty if fails_high else lo_faulty
     faulty_at_clean_end = lo_faulty if fails_high else hi_faulty
 
@@ -229,141 +237,178 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
         return BorderResult(None, fails_high, always_faulty=False,
                             never_faulty=True, r_lo=r_lo, r_hi=r_hi,
                             n_failed_probes=n_failed)
-
-    lo, hi = (clean_end, faulty_end) if fails_high else (faulty_end,
-                                                         clean_end)
-    # Invariant depends on polarity: for opens lo is clean / hi faulty;
-    # for shorts lo is faulty / hi clean.
-    while hi / lo > 1.0 + rel_tol:
-        mid = math.sqrt(lo * hi)
-        mid_faulty = probe(mid)
-        if mid_faulty is None:
-            # The midpoint is unprobeable even after nudging: stop
-            # refining and bracket around it — a coarser border beats
-            # an aborted search.
-            break
-        if fails_high:
-            if mid_faulty:
-                hi = mid
-            else:
-                lo = mid
-        else:
-            if mid_faulty:
-                lo = mid
-            else:
-                hi = mid
-    return BorderResult(math.sqrt(lo * hi), fails_high,
-                        always_faulty=False, never_faulty=False,
-                        r_lo=r_lo, r_hi=r_hi, n_failed_probes=n_failed)
+    # An unprobeable midpoint stops the walk and the border brackets
+    # around it: a coarser border beats an aborted search.
+    return found(*bisect_lattice(lattice, r_lo, r_hi, side))
 
 
-#: Rounds of leaf re-aiming before a prior-guided search falls back to
-#: the plain bisection.  Each non-verifying round probes at least one
-#: new lattice point strictly inside the open bracket, so the bound is
-#: only ever reached on pathological (non-monotone) predicates.
+# ----------------------------------------------------------------------
+# the lattice search shared by every border bisection
+# ----------------------------------------------------------------------
+
+#: Speculation depth of a batched lattice search: each generation
+#: measures the full binary subdivision tree of the current bracket to
+#: this depth (``2**depth - 1`` points covering the next ``depth``
+#: bisection levels) in one batch.  Depth 2 is the sweet spot measured
+#: in ``benchmarks/bench_array_lanes.py``: 3 probes per 2 consumed
+#: levels (1.5x speculative waste) against the batched transient's
+#: per-probe amortization; deeper trees waste more probes than the
+#: wider batch recovers.
+SPECULATE_DEPTH = 2
+
+#: Rounds of leaf re-aiming before a prior-guided search gives up.
+#: Each non-verifying round probes at least one new lattice point
+#: strictly inside the open bracket, so the bound is only ever reached
+#: on pathological (non-monotone) sides.
 _PRIOR_MAX_ROUNDS = 64
 
 
-def _prior_guided_search(predicate: Callable[[float], bool], *,
-                         fails_high: bool, r_lo: float, r_hi: float,
-                         rel_tol: float,
-                         prior: float) -> BorderResult | None:
-    """Verify the bisection leaf a prior points at; return its border.
+class Lattice(NamedTuple):
+    """The points a bisection can probe, fixed by how it halves.
 
-    The plain loop halves the *log-width* of its bracket every step
-    (``mid = sqrt(lo * hi)``), so the set of brackets it can terminate
-    in — the "leaves" — is a fixed lattice independent of probe
-    outcomes.  This search descends to the leaf containing ``prior``
-    using the identical float arithmetic, then probes only the leaf's
-    two endpoints.  If the low endpoint is clean and the high endpoint
-    faulty (polarity-adjusted), monotonicity pins every branch the
-    plain loop would have taken: each midpoint it discarded upward lies
-    ≥ the verified faulty endpoint, each kept lies ≤ the clean one, so
-    the plain loop reaches *this exact bracket* and returns
-    ``sqrt(lo * hi)`` — reproduced here bitwise, typically from 2
-    probes instead of ~10.
-
-    A miss re-aims at the geometric middle of the tightest known
-    clean/faulty bracket and repeats, converging like a bisection over
-    leaves.  Returns ``None`` (caller falls back to the plain loop,
-    memo intact) when probe outcomes contradict monotonicity or the
-    round cap is hit — so a bad prior degrades to the serial cost,
-    never to a wrong answer.
+    ``split(lo, hi)`` is the point that halves the bracket, or ``None``
+    when the bracket is a leaf.  Because the split depends on the
+    bracket alone, the points and leaves form a fixed lattice whatever
+    the probe outcomes.  ``shift(x, lo, hi, k)`` moves ``x`` by ``k``
+    widths of the leaf ``(lo, hi)``; the prior-guided search gallops
+    with it.
     """
-    # Work in a polarity-free frame: g(r) is False on the clean-for-
-    # opens side (low R) and True above the border, for both kinds.
-    def g(r: float) -> bool:
-        f = predicate(r)
-        return f if fails_high else (not f)
 
-    g_false_max: float | None = None   # largest r observed g(r) False
-    g_true_min: float | None = None    # smallest r observed g(r) True
+    split: Callable
+    shift: Callable
 
-    def classify(r: float) -> bool:
-        nonlocal g_false_max, g_true_min
-        if g_false_max is not None and r <= g_false_max:
-            return False
-        if g_true_min is not None and r >= g_true_min:
-            return True
-        val = g(r)
-        if val:
-            g_true_min = r if g_true_min is None else min(g_true_min, r)
+
+def log_lattice(rel_tol: float) -> Lattice:
+    """Log-space halving down to leaves no wider than ``1 + rel_tol``."""
+    def split(lo: float, hi: float) -> float | None:
+        return math.sqrt(lo * hi) if hi / lo > 1.0 + rel_tol else None
+
+    def shift(x: float, lo: float, hi: float, k: float) -> float:
+        ratio = hi / lo
+        return x * ratio ** k if k > 0 else x / ratio ** -k
+
+    return Lattice(split, shift)
+
+
+#: Grid-index halving down to adjacent indices.
+GRID_LATTICE = Lattice(
+    split=lambda a, b: (a + b) // 2 if b - a > 1 else None,
+    shift=lambda x, a, b, k: x + k * (b - a))
+
+
+def bisect_lattice(lattice: Lattice, lo, hi, side, *, prefetch=None,
+                   prior=None):
+    """Bisect ``[lo, hi]`` on ``lattice`` down to the leaf holding the
+    border; returns that leaf as ``(lo, hi)``.
+
+    ``side(x, lo, hi)`` classifies the point ``x`` splitting the bracket
+    ``(lo, hi)``: ``True`` when ``x`` lies on ``hi``'s side of the
+    border, ``False`` on ``lo``'s side.  A point that cannot be measured
+    (a hole) answers ``None`` instead, which stops the refinement (the
+    bracket as it stands is returned), or another lattice point strictly
+    inside the bracket that answers in its place (the hole displaced to
+    a measurable neighbour).
+
+    Three schedules consume the identical sequence of ``side`` answers
+    and so reach the identical leaf:
+
+    * serial (the default): one ``side`` call per level;
+    * speculative, when a batch measure ``prefetch(points)`` is passed:
+      on reaching a point no batch has covered yet, the subdivision
+      tree of the bracket :data:`SPECULATE_DEPTH` levels deep (cut at
+      the leaves) is measured in one call, the first one together with
+      ``lo`` and ``hi``; ``side`` then reads the measured values;
+    * prior-guided, when a border estimate ``prior`` is passed:
+      descend straight to the leaf containing it and classify its two
+      endpoints.  Under a monotone ``side`` a leaf whose endpoints lie
+      on ``lo``'s and ``hi``'s side pins every branch the serial walk
+      takes, so it *is* the serial walk's leaf, typically from 2 probes
+      instead of ~10.  A miss re-aims (between the nearest points known
+      on each side, galloping outward while only one side is known) and
+      repeats.  Returns ``None`` — the caller falls back on a serial
+      walk, its memo intact — when an answer is a hole, a range end
+      lands on the wrong side, the answers contradict monotonicity, or
+      the round cap is hit: a bad prior costs probes, never accuracy.
+    """
+    if prior is not None:
+        return _prior_descent(lattice, lo, hi, side, prior)
+    split = lattice.split
+
+    def tree(a, b, depth: int) -> list:
+        mid = split(a, b) if depth else None
+        if mid is None:
+            return []
+        return [mid] + tree(a, mid, depth - 1) + tree(mid, b, depth - 1)
+
+    fetched: set = set()
+    batch = [lo, hi]
+    while (mid := split(lo, hi)) is not None:
+        if prefetch is not None and mid not in fetched:
+            batch += tree(lo, hi, SPECULATE_DEPTH)
+            fetched.update(batch)
+            prefetch(batch)
+            batch = []
+        answer = side(mid, lo, hi)
+        if answer is None:
+            break
+        if not isinstance(answer, bool):
+            mid, answer = answer, side(answer, lo, hi)
+        if answer:
+            hi = mid
         else:
-            g_false_max = r if g_false_max is None else max(g_false_max, r)
-        return val
+            lo = mid
+    return lo, hi
+
+
+def _prior_descent(lattice: Lattice, r_lo, r_hi, side, prior):
+    """The prior-guided schedule of :func:`bisect_lattice`."""
+    split, shift = lattice
+    lo_side_max = None    # largest point known on lo's side
+    hi_side_min = None    # smallest point known on hi's side
+
+    def classify(x) -> bool | None:
+        nonlocal lo_side_max, hi_side_min
+        if lo_side_max is not None and x <= lo_side_max:
+            return False
+        if hi_side_min is not None and x >= hi_side_min:
+            return True
+        answer = side(x, r_lo, r_hi)
+        if answer is True:
+            hi_side_min = x if hi_side_min is None else min(hi_side_min, x)
+        elif answer is False:
+            lo_side_max = x if lo_side_max is None else max(lo_side_max, x)
+        return answer
 
     target = min(max(prior, r_lo), r_hi)
-    step = 1.0   # gallop width in leaves while only one bound is known
+    step = 1.0   # gallop width in leaves while only one side is known
     for _ in range(_PRIOR_MAX_ROUNDS):
         lo, hi = r_lo, r_hi
-        while hi / lo > 1.0 + rel_tol:
-            mid = math.sqrt(lo * hi)
+        while (mid := split(lo, hi)) is not None:
             if target < mid:
                 hi = mid
             else:
                 lo = mid
-        glo = classify(lo)
-        ghi = classify(hi)
-        if not glo and ghi:
-            return BorderResult(math.sqrt(lo * hi), fails_high,
-                                always_faulty=False, never_faulty=False,
-                                r_lo=r_lo, r_hi=r_hi)
-        if (glo and lo == r_lo) or (not ghi and hi == r_hi):
-            # The range looks degenerate (border below r_lo or above
-            # r_hi).  Replicate the plain search's endpoint probes and
-            # its precedence exactly — ``predicate`` memoizes, so a
-            # leaf endpoint that coincides with a range endpoint costs
-            # nothing extra.
-            lo_faulty = predicate(r_lo)
-            hi_faulty = predicate(r_hi)
-            faulty_at_clean_end = lo_faulty if fails_high else hi_faulty
-            faulty_at_faulty_end = hi_faulty if fails_high else lo_faulty
-            if faulty_at_clean_end:
-                return BorderResult(None, fails_high, always_faulty=True,
-                                    never_faulty=False, r_lo=r_lo,
-                                    r_hi=r_hi)
-            if not faulty_at_faulty_end:
-                return BorderResult(None, fails_high, always_faulty=False,
-                                    never_faulty=True, r_lo=r_lo,
-                                    r_hi=r_hi)
-            return None   # endpoints contradict the leaf probes
-        if (g_false_max is not None and g_true_min is not None
-                and g_false_max >= g_true_min):
-            return None   # probes contradict monotonicity
-        leaf_ratio = hi / lo
-        if g_false_max is not None and g_true_min is not None:
-            # Bracketed: bisect the gap geometrically.  Adjacent leaves
+        at_lo, at_hi = classify(lo), classify(hi)
+        if at_lo is False and at_hi is True:
+            return lo, hi
+        if (not isinstance(at_lo, bool) or not isinstance(at_hi, bool)
+                or (at_lo and lo == r_lo) or (not at_hi and hi == r_hi)
+                or (lo_side_max is not None and hi_side_min is not None
+                    and lo_side_max >= hi_side_min)):
+            return None
+        if lo_side_max is not None and hi_side_min is not None:
+            # Bracketed: aim between the two sides.  Adjacent leaves
             # share endpoints bitwise (both sides recompute them at the
             # common ancestor split), so re-descending reuses probes
-            # through the memoizing predicate.
-            target = math.sqrt(g_false_max * g_true_min)
-        elif g_true_min is not None:
-            # Only faulty-side evidence: gallop down, doubling the
-            # leaf-count step, until the clean side is found.
-            target = max(g_true_min / leaf_ratio ** step, r_lo)
+            # through the caller's memo.  A one-leaf gap is that leaf.
+            target = split(lo_side_max, hi_side_min)
+            if target is None:
+                target = lo_side_max
+        elif hi_side_min is not None:
+            target = max(shift(hi_side_min, lo, hi, -step), r_lo)
             step *= 2.0
         else:
-            target = min(g_false_max * leaf_ratio ** step, r_hi)
+            target = min(shift(lo_side_max, lo, hi, step), r_hi)
             step *= 2.0
     return None
 

@@ -290,8 +290,7 @@ def border_crossing_scan(model: ColumnModel,
                          resistances: Sequence[float], *,
                          n_writes: int = 2, vsa_tol: float = 0.01,
                          coarse: int | None = None, dense: bool = False,
-                         on_error: str | None = None,
-                         prior: float | None = None) -> BorderScan:
+                         on_error: str | None = None) -> BorderScan:
     """Find the ``(1) w0`` settle × ``Vsa`` crossing with sparse probes.
 
     The BR of an open sits where the voltage a single ``w0`` leaves on
@@ -313,28 +312,19 @@ def border_crossing_scan(model: ColumnModel,
     sidesteps them to the nearest measurable index inside the current
     bracket, mirroring the dense sweep's hole bridging.  ``dense=True``
     probes every index in order (the reference path for parity tests).
-
-    ``prior`` is an optional border estimate (e.g. from the surrogate
-    tier): the scan then starts at the grid index nearest the prior and
-    gallops outward to bracket the margin's first sign change, skipping
-    the coarse lattice entirely — under a monotone margin the bracketed
-    pair is the same adjacent grid pair the lattice path converges to,
-    so the interpolated BR is identical.  Holes encountered on the
-    guided path abandon it for the standard lattice scan (margins are
-    memoized, so guided probes are reused, never wasted).
     """
     with profiler.section("sweep.border_scan"):
         return _border_crossing_scan(model, resistances,
                                      n_writes=n_writes, vsa_tol=vsa_tol,
                                      coarse=coarse, dense=dense,
-                                     on_error=on_error, prior=prior)
+                                     on_error=on_error)
 
 
 def _border_crossing_scan(model, resistances, *, n_writes, vsa_tol,
-                          coarse, dense, on_error,
-                          prior=None) -> BorderScan:
+                          coarse, dense, on_error) -> BorderScan:
     import math
 
+    from repro.analysis.border import GRID_LATTICE, bisect_lattice
     from repro.analysis.planes import _interp_crossing
 
     rs = list(resistances)
@@ -353,8 +343,13 @@ def _border_crossing_scan(model, resistances, *, n_writes, vsa_tol,
                  and getattr(engine, "effective_lanes", lambda: 0)() >= 2)
 
     def prefetch(idxs) -> None:
-        """Measure several margins in one settle/Vsa batch."""
-        todo = [i for i in dict.fromkeys(idxs) if i not in margins]
+        """Measure several margins in one settle/Vsa batch.
+
+        ``Vsa``-less points (strong opens: every read returns 1) count
+        as crossings with the dense sweep's sentinel margin of +1.0;
+        index -1, the bisection's bracket end below the grid, is skipped.
+        """
+        todo = [i for i in dict.fromkeys(idxs) if i >= 0 and i not in margins]
         if not todo:
             return
         probed.extend(todo)
@@ -373,42 +368,9 @@ def _border_crossing_scan(model, resistances, *, n_writes, vsa_tol,
             margins[i] = m
 
     def margin(i: int):
-        """Memoized margin at grid index ``i`` (``_HOLE`` = no data).
-
-        ``Vsa``-less points (strong opens: every read returns 1) count
-        as crossings with the dense sweep's sentinel margin of +1.0.
-        """
-        if i in margins:
-            return margins[i]
-        probed.append(i)
-        settle = settle_curve(model, 0, [rs[i]], n_ops=n_writes,
-                              on_error=on_error)
-        w0 = settle.after(1)[0]
-        vsa = _vsa_curve(model, [rs[i]], tol=vsa_tol, on_error=on_error)
-        if w0 is None or vsa.is_hole(0):
-            m: object = _HOLE
-        elif vsa.thresholds[0] is None:
-            m = 1.0
-        else:
-            m = w0 - vsa.thresholds[0]
-        margins[i] = m
-        return m
-
-    if (prior is not None and not dense
-            and all(x < y for x, y in zip(rs, rs[1:]))):
-        bracket = _prior_crossing_bracket(rs, margin, prior)
-        if bracket is not None:
-            prev, hit = bracket
-            if hit is None:
-                return BorderScan(rs, None, probed)
-            if prev is None:
-                return BorderScan(rs, rs[hit], probed)
-            return BorderScan(
-                rs, _interp_crossing(rs[prev], margins[prev], rs[hit],
-                                     margins[hit]),
-                probed)
-        # A hole interrupted the guided walk: fall through to the
-        # lattice scan, which reuses every memoized margin.
+        """Memoized margin at grid index ``i`` (``_HOLE`` = no data)."""
+        prefetch([i])
+        return margins[i]
 
     if dense:
         # The reference path measures the whole grid up front, exactly
@@ -445,120 +407,22 @@ def _border_crossing_scan(model, resistances, *, n_writes, vsa_tol,
     if not dense:
         # Bisect grid indices inside the bracket; holes displace the
         # midpoint to the nearest measurable index still inside.
-        a = prev if prev is not None else -1
-        b = hit
-        while b - a > 1:
-            mid = (a + b) // 2
-            if speculate and mid not in margins:
-                # Prefetch the midpoint plus both children midpoints
-                # (the next level either way the comparison goes) as
-                # lanes of one batch.
-                kids = [mid]
-                if mid - a > 1:
-                    kids.append((a + mid) // 2)
-                if b - mid > 1:
-                    kids.append((mid + b) // 2)
-                prefetch(kids)
-            m = margin(mid)
-            if m is _HOLE:
-                m = None
-                for step in range(1, b - a):
-                    for cand in (mid + step, mid - step):
-                        if a < cand < b and margin(cand) is not _HOLE:
-                            mid, m = cand, margin(cand)
-                            break
-                    if m is not None:
-                        break
-                if m is None:
-                    break   # the whole bracket interior is holes
-            if m >= 0.0:
-                b = mid
-            else:
-                a = mid
-                prev = mid
-        hit = b
+        def side(i: int, a: int, b: int):
+            if margin(i) is not _HOLE:
+                return margin(i) >= 0.0
+            for step in range(1, b - a):
+                for cand in (i + step, i - step):
+                    if a < cand < b and margin(cand) is not _HOLE:
+                        return cand
+            return None   # the whole bracket interior is holes
 
-    m_hit = margins[hit]
+        a, hit = bisect_lattice(GRID_LATTICE,
+                                -1 if prev is None else prev, hit, side,
+                                prefetch=prefetch if speculate else None)
+        prev = None if a < 0 else a
+
     if prev is None:
         return BorderScan(rs, rs[hit], probed)
     return BorderScan(
-        rs, _interp_crossing(rs[prev], margins[prev], rs[hit], m_hit),
+        rs, _interp_crossing(rs[prev], margins[prev], rs[hit], margins[hit]),
         probed)
-
-
-def _prior_crossing_bracket(rs, margin, prior):
-    """Bracket the margin's sign change starting from a prior estimate.
-
-    Probes the grid index nearest ``prior``, gallops (doubling steps)
-    toward the crossing until a negative/non-negative pair brackets it,
-    then bisects indices to adjacency.  Returns ``(prev, hit)`` —
-    ``hit is None`` means no crossing anywhere, ``prev is None`` means
-    the crossing sits at the very first grid point — or ``None`` when a
-    hole interrupts the walk (caller falls back to the lattice scan).
-    Under a monotone margin the result is exactly the lattice scan's.
-    """
-    import bisect as _bisect
-
-    n = len(rs)
-    j = min(max(_bisect.bisect_left(rs, prior), 0), n - 1)
-    m = margin(j)
-    if m is _HOLE:
-        return None
-    if m >= 0.0:
-        # Crossing at or below j: gallop down for a negative margin.
-        b, a = j, None
-        step, i = 1, j - 1
-        while i >= 0:
-            m = margin(i)
-            if m is _HOLE:
-                return None
-            if m < 0.0:
-                a = i
-                break
-            b = i
-            i -= step
-            step *= 2
-        if a is None:
-            if b != 0:
-                m0 = margin(0)
-                if m0 is _HOLE:
-                    return None
-                if m0 >= 0.0:
-                    return (None, 0)
-                a = 0
-            else:
-                return (None, 0)
-    else:
-        # Crossing above j: gallop up for a non-negative margin.
-        a, b = j, None
-        step, i = 1, j + 1
-        while i <= n - 1:
-            m = margin(i)
-            if m is _HOLE:
-                return None
-            if m >= 0.0:
-                b = i
-                break
-            a = i
-            i += step
-            step *= 2
-        if b is None:
-            if a != n - 1:
-                mn = margin(n - 1)
-                if mn is _HOLE:
-                    return None
-                if mn < 0.0:
-                    return (None, None)
-                b = n - 1
-            else:
-                return (None, None)
-    while b - a > 1:
-        mid = (a + b) // 2
-        m = margin(mid)
-        if m is _HOLE:
-            return None
-        if m >= 0.0:
-            b = mid
-        else:
-            a = mid
-    return (a, b)

@@ -78,8 +78,7 @@ def find_border_adaptive(model: ColumnModel, defect: Defect, *,
                          points: int = 24,
                          resistances=None,
                          n_writes: int = 2, vsa_tol: float = 0.01,
-                         on_error: str | None = None,
-                         prior: float | None = None) -> BorderScan:
+                         on_error: str | None = None) -> BorderScan:
     """Adaptive BR via the ``(1) w0`` settle × ``Vsa`` crossing.
 
     The curve-crossing counterpart of a dense
@@ -90,9 +89,7 @@ def find_border_adaptive(model: ColumnModel, defect: Defect, *,
     :func:`~repro.analysis.curves.border_crossing_scan`), so the BR
     comes back at dense-grid resolution for a fraction of the transient
     solves.  ``resistances`` overrides the grid entirely (``points`` is
-    then ignored).  ``prior`` (a resistance estimate, e.g. from the
-    surrogate tier) starts the scan's bracketing at the nearest grid
-    index instead of the coarse lattice — same crossing, fewer probes.
+    then ignored).
     """
     if stress is not None:
         model.set_stress(stress)
@@ -100,8 +97,7 @@ def find_border_adaptive(model: ColumnModel, defect: Defect, *,
         r_lo, r_hi = defect.kind.search_range
         resistances = log_grid(r_lo, r_hi, points)
     return border_crossing_scan(model, resistances, n_writes=n_writes,
-                                vsa_tol=vsa_tol, on_error=on_error,
-                                prior=prior)
+                                vsa_tol=vsa_tol, on_error=on_error)
 
 
 def border_improvement(defect: Defect, nominal: BorderResult,
@@ -148,7 +144,3 @@ def failing_range_score(defect: Defect, border: BorderResult) -> float:
     if border.never_faulty or not border.found:
         return float("-inf")
     return -border.resistance if defect.fails_high else border.resistance
-
-
-# backwards-compatible private alias
-_range_score = failing_range_score

@@ -187,6 +187,26 @@ class ColumnRunner:
         return SequenceResult(ops=ops, results=results)
 
 
+def _lane_system(lanes: LaneSystem | None, system: System,
+                 resistances) -> LaneSystem:
+    """``lanes`` re-valued to ``resistances``, or a new lane system over
+    ``system`` when there is none yet."""
+    if lanes is None:
+        return make_lane_system(system, resistances, DEFECT_DEVICE)
+    if lanes.resistances != tuple(float(r) for r in resistances):
+        lanes.set_resistances(resistances)
+    return lanes
+
+
+def _stack_states(circuit, system: System, states) -> np.ndarray:
+    """Initial solution vectors from per-lane node-voltage dicts."""
+    x2 = np.zeros((len(states), system.size))
+    for k, state in enumerate(states):
+        for name, volts in state.items():
+            x2[k, circuit.node(name).index] = float(volts)
+    return x2
+
+
 class LaneRunner:
     """Run one operation sequence over many ``Rop`` lanes at once.
 
@@ -217,25 +237,6 @@ class LaneRunner:
     def set_stress(self, stress: StressConditions) -> None:
         self.stress = stress
 
-    def _lane_system(self, resistances) -> LaneSystem:
-        lanes = self._lanes
-        if lanes is None:
-            lanes = make_lane_system(self._system, resistances,
-                                     DEFECT_DEVICE)
-            self._lanes = lanes
-        elif lanes.resistances != tuple(float(r) for r in resistances):
-            lanes.set_resistances(resistances)
-        return lanes
-
-    def _stack_states(self, states) -> np.ndarray:
-        """Initial solution vectors from per-lane node-voltage dicts."""
-        circ = self.netlist.circuit
-        x2 = np.zeros((len(states), self._system.size))
-        for k, state in enumerate(states):
-            for name, volts in state.items():
-                x2[k, circ.node(name).index] = float(volts)
-        return x2
-
     def run_sequences(self, ops, lanes_in, background: int = 0
                       ) -> tuple[list, dict[str, int]]:
         """Apply one operation sequence to every ``(resistance, init_vc)``
@@ -260,7 +261,7 @@ class LaneRunner:
                               self.target_cell, init_vc,
                               background=background)
             for _, init_vc in lanes_in]
-        x2 = self._stack_states(states)
+        x2 = _stack_states(self.netlist.circuit, self._system, states)
         per_lane_ops: list[list[OpResult]] = [[] for _ in range(n)]
 
         dt = self.stress.tcyc * self.tech.dt_frac
@@ -268,7 +269,9 @@ class LaneRunner:
         for op in ops:
             if not active:
                 break
-            lanes = self._lane_system([lanes_in[k][0] for k in active])
+            self._lanes = lanes = _lane_system(
+                self._lanes, self._system,
+                [lanes_in[k][0] for k in active])
             plan = plan_cycle(op, self.stress, self.tech, self.target_cell)
             self.netlist.set_waveforms(plan.waveforms)
             batch = lane_transient(lanes, self.stress.tcyc, dt,
@@ -565,24 +568,6 @@ class ArrayLaneRunner:
             self._runner.set_stress(stress)
             self._bank.clear()
 
-    def _lane_system(self, resistances) -> LaneSystem:
-        lanes = self._lanes
-        if lanes is None:
-            lanes = make_lane_system(self._system, resistances,
-                                     DEFECT_DEVICE)
-            self._lanes = lanes
-        elif lanes.resistances != tuple(float(r) for r in resistances):
-            lanes.set_resistances(resistances)
-        return lanes
-
-    def _stack_states(self, states) -> np.ndarray:
-        circ = self._runner.netlist.circuit
-        x2 = np.zeros((len(states), self._system.size))
-        for k, state in enumerate(states):
-            for name, volts in state.items():
-                x2[k, circ.node(name).index] = float(volts)
-        return x2
-
     def run_sequences(self, ops, lanes_in, background: int = 0
                       ) -> tuple[list, dict[str, int]]:
         """Apply one cycle sequence to every ``(resistance, init_vc)``
@@ -610,7 +595,7 @@ class ArrayLaneRunner:
         active = list(range(n))
         states = [runner.idle_state(init_vc, background=background)
                   for _, init_vc in lanes_in]
-        x2 = self._stack_states(states)
+        x2 = _stack_states(runner.netlist.circuit, self._system, states)
         per_lane_ops: list = [[] for _ in range(n)]
 
         dt = self.stress.tcyc * self.tech.dt_frac
@@ -621,7 +606,9 @@ class ArrayLaneRunner:
         for oi, op in enumerate(ops):
             if not active:
                 break
-            lanes = self._lane_system([lanes_in[k][0] for k in active])
+            self._lanes = lanes = _lane_system(
+                self._lanes, self._system,
+                [lanes_in[k][0] for k in active])
             waves, t_sample = runner.cycle_waveforms(op)
             runner.netlist.set_waveforms(waves)
             key = (oi, op.operation)

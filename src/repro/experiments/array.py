@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.analysis.border import bisect_lattice, log_lattice
 from repro.dram.column import DEFECT_KINDS, DefectSite
 from repro.engine import SequenceRequest, default_engine
 from repro.report.tables import render_table
@@ -32,46 +33,6 @@ from repro.stress import NOMINAL_STRESS, StressConditions
 #: Resistance decade window bracketing every array-routed border.
 DEFAULT_R_LO = 1e3
 DEFAULT_R_HI = 1e9
-
-
-def _vc_end(engine, *, kind: str, cell: int, resistance: float,
-            geometry, address, trim, ops: str, init_vc: float,
-            stress: StressConditions, tech) -> float:
-    request = SequenceRequest.build(
-        ops, init_vc, backend="electrical",
-        defect=DefectSite(kind, cell, resistance), stress=stress,
-        tech=tech, geometry=geometry, address=address, trim=trim)
-    return engine.run(request).results[-1].vc_end
-
-
-#: Speculation depth of the lane-batched bisection: each generation
-#: prefetches the full binary subdivision tree of the current bracket to
-#: this depth (``2**depth - 1`` probes covering the next ``depth``
-#: bisection levels) as lanes of one batched transient.  Depth 2 is the
-#: sweet spot measured in ``benchmarks/bench_array_lanes.py``: 3 probes
-#: per 2 consumed levels (1.5x speculative waste) against the batched
-#: transient's per-probe amortization; deeper trees waste more probes
-#: than the wider batch recovers.
-SPECULATE_DEPTH = 2
-
-
-def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
-    """Every log-midpoint the next ``depth`` bisection levels of
-    ``[lo, hi]`` could probe, whichever way each comparison goes.
-
-    Built by the *same* recursive ``sqrt(lo * hi)`` arithmetic the
-    serial loop uses, so each value is bitwise the probe the bisection
-    would compute — the speculative path answers the identical
-    questions, it just asks them ``depth`` levels at a time.
-    """
-    if depth <= 0:
-        return []
-    mid = math.sqrt(lo * hi)
-    out = [mid]
-    if depth > 1:
-        out += _midpoint_tree(lo, mid, depth - 1)
-        out += _midpoint_tree(mid, hi, depth - 1)
-    return out
 
 
 def activation_disturb_br(kind: str, *, geometry: tuple[int, int],
@@ -99,15 +60,14 @@ def activation_disturb_br(kind: str, *, geometry: tuple[int, int],
     ``1`` (``stress.vdd``), the worst case for activation disturbance.
 
     When the engine's lane width admits batching
-    (:meth:`~repro.engine.BatchExecutor.effective_lanes` ≥ 2), each
-    bisection generation *speculatively* probes the full midpoint tree
-    of the current bracket (:data:`SPECULATE_DEPTH` levels at once):
-    the probes differ only in defect resistance, so they stack as lanes
-    of one batched transient, and successive generations warm-start
-    from the previous one's converged trajectories.  The tree contains
-    exactly the candidate midpoints the serial loop would compute
-    (see :func:`_midpoint_tree`), so the bisection consumes identical
-    probe values and returns the identical border.
+    (:meth:`~repro.engine.BatchExecutor.effective_lanes` ≥ 2), the
+    search runs speculatively (:func:`~repro.analysis.border
+    .bisect_lattice`): each generation probes the midpoint tree of the
+    current bracket as lanes of one batched transient, warm-started
+    from the previous generation's converged trajectories.  The tree
+    holds exactly the midpoints the serial search would compute, so the
+    search consumes identical probe values and returns the identical
+    border.
     """
     rows, cols = geometry
     if cell is None:
@@ -117,55 +77,41 @@ def activation_disturb_br(kind: str, *, geometry: tuple[int, int],
     if engine is None:
         engine = default_engine()
 
-    speculate = getattr(engine, "effective_lanes", lambda: 0)() >= 2
-    memo: dict[float, float] = {}
+    def request(resistance: float) -> SequenceRequest:
+        return SequenceRequest.build(
+            ops, init_vc, backend="electrical",
+            defect=DefectSite(kind, cell, resistance), stress=stress,
+            tech=tech, geometry=geometry, address=address, trim=trim)
+
+    vc_ends: dict[float, float] = {}
 
     def prefetch(resistances) -> None:
-        todo = [r for r in dict.fromkeys(resistances) if r not in memo]
+        todo = [r for r in dict.fromkeys(resistances) if r not in vc_ends]
         if not todo:
             return
-        requests = [SequenceRequest.build(
-            ops, init_vc, backend="electrical",
-            defect=DefectSite(kind, cell, r), stress=stress,
-            tech=tech, geometry=geometry, address=address, trim=trim)
-            for r in todo]
-        for r, result in zip(todo, engine.map(requests)):
-            memo[r] = result.results[-1].vc_end
+        for r, result in zip(todo, engine.map([request(r) for r in todo])):
+            vc_ends[r] = result.results[-1].vc_end
 
-    def f(resistance: float) -> float:
-        if speculate:
-            prefetch([resistance])
-            return memo[resistance]
-        return _vc_end(engine, kind=kind, cell=cell,
-                       resistance=resistance, geometry=geometry,
-                       address=address, trim=trim, ops=ops,
-                       init_vc=init_vc, stress=stress, tech=tech)
+    def vc_end(resistance: float) -> float:
+        if resistance not in vc_ends:
+            vc_ends[resistance] = \
+                engine.run(request(resistance)).results[-1].vc_end
+        return vc_ends[resistance]
 
-    if speculate:
-        prefetch([r_lo, r_hi] + _midpoint_tree(r_lo, r_hi,
-                                               SPECULATE_DEPTH))
-    v_lo, v_hi = f(r_lo), f(r_hi)
-    if math.isclose(v_lo, v_hi, abs_tol=1e-6):
-        raise ValueError(
-            f"defect {kind!r} shows no resistance dependence on "
-            f"[{r_lo:.3g}, {r_hi:.3g}] ohm (Δvc={abs(v_hi - v_lo):.2e})")
-    v_mid = 0.5 * (v_lo + v_hi)
-    lo, hi = r_lo, r_hi
-    below = v_lo < v_mid
-    while hi / lo > 1.0 + rel_tol:
-        mid = math.sqrt(lo * hi)
-        if speculate and mid not in memo:
-            # Never speculate past the bisection's own horizon: each
-            # level halves the log-bracket, so the levels left follow
-            # from the current width against the tolerance.
-            left = math.ceil(math.log2(
-                math.log(hi / lo) / math.log(1.0 + rel_tol)))
-            prefetch(_midpoint_tree(lo, hi,
-                                    min(SPECULATE_DEPTH, max(1, left))))
-        if (f(mid) < v_mid) == below:
-            lo = mid
-        else:
-            hi = mid
+    def side(resistance: float, *_) -> bool:
+        # The endpoints are read here, not up front, so that on lanes
+        # they ride in the walk's first batch.
+        v_lo, v_hi = vc_end(r_lo), vc_end(r_hi)
+        if math.isclose(v_lo, v_hi, abs_tol=1e-6):
+            raise ValueError(
+                f"defect {kind!r} shows no resistance dependence on "
+                f"[{r_lo:.3g}, {r_hi:.3g}] ohm (Δvc={abs(v_hi - v_lo):.2e})")
+        v_mid = 0.5 * (v_lo + v_hi)
+        return (vc_end(resistance) < v_mid) != (v_lo < v_mid)
+
+    speculate = getattr(engine, "effective_lanes", lambda: 0)() >= 2
+    lo, hi = bisect_lattice(log_lattice(rel_tol), r_lo, r_hi, side,
+                            prefetch=prefetch if speculate else None)
     return math.sqrt(lo * hi)
 
 

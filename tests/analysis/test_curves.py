@@ -7,6 +7,7 @@ from repro.analysis.curves import VsaCurve, border_crossing_scan
 from repro.analysis.planes import log_grid
 from repro.behav import behavioral_model
 from repro.defects import Defect, DefectKind, Placement
+from repro.spice.errors import SpiceError
 
 
 @pytest.fixture
@@ -176,3 +177,64 @@ class TestBorderCrossingScan:
         assert scan.resistances[0] == pytest.approx(r_lo)
         assert scan.resistances[-1] == pytest.approx(r_hi)
         assert scan.border is not None
+
+
+class _LaneEngine:
+    """Stand-in engine whose lane width turns speculation on."""
+
+    def effective_lanes(self):
+        return 8
+
+
+class _HoledModel:
+    """Column model that fails at chosen resistances (and may advertise
+    a lane-batching engine)."""
+
+    def __init__(self, inner, bad=(), engine=None):
+        self._inner = inner
+        self._bad = tuple(bad)
+        self._r = None
+        self.engine = engine
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def set_defect_resistance(self, resistance):
+        self._r = resistance
+        self._inner.set_defect_resistance(resistance)
+
+    def run_sequence(self, *args, **kwargs):
+        if self._r in self._bad:
+            raise SpiceError(f"injected failure at R={self._r:.3g}")
+        return self._inner.run_sequence(*args, **kwargs)
+
+
+class TestBorderCrossingScanSchedules:
+    # The adaptive scan of this grid probes the coarse lattice 0, 6, 13,
+    # 20, then bisects indices 16, 18, 17 down to the pair (16, 17).
+    GRID = log_grid(30e3, 2e6, 40)
+
+    def _model(self, **kwargs):
+        return _HoledModel(
+            behavioral_model(Defect(DefectKind.O3, resistance=200e3)),
+            **kwargs)
+
+    def test_speculative_scan_matches_serial(self):
+        serial = border_crossing_scan(self._model(), self.GRID)
+        spec = border_crossing_scan(self._model(engine=_LaneEngine()),
+                                    self.GRID)
+        assert spec.border == serial.border
+        assert set(serial.probed) <= set(spec.probed)
+
+    @pytest.mark.parametrize("lanes", [False, True])
+    def test_scan_moves_off_an_interior_hole(self, lanes):
+        clean = border_crossing_scan(self._model(), self.GRID)
+        assert clean.probed[-3:] == [16, 18, 17]
+        hole = 18
+        holed = border_crossing_scan(
+            self._model(bad=[self.GRID[hole]],
+                        engine=_LaneEngine() if lanes else None),
+            self.GRID, on_error="isolate")
+        assert hole in holed.probed
+        assert 19 in holed.probed      # the displaced neighbour
+        assert holed.border == clean.border

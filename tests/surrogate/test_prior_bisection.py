@@ -12,7 +12,9 @@ import math
 
 import pytest
 
-from repro.analysis.border import border_resistance
+from repro.analysis.border import (GRID_LATTICE, SPECULATE_DEPTH,
+                                   bisect_lattice, border_resistance,
+                                   log_lattice)
 
 R_LO = 1e3
 R_HI = 1e7
@@ -149,3 +151,80 @@ def test_dense_border_sweep_identity(fails_high):
             guided, _ = _search(border, fails_high, prior=prior)
             assert guided.resistance == serial.resistance, (
                 f"border={border!r} prior={prior!r}")
+
+
+# ----------------------------------------------------------------------
+# schedule parity: serial, speculative batch and prior on both lattices
+# ----------------------------------------------------------------------
+GRID_N = 97
+
+
+def _lattice_case(lattice_name, rel_tol):
+    """``(lattice, lo, hi, borders)`` of one lattice in the parity grid."""
+    if lattice_name == "log":
+        return log_lattice(rel_tol), R_LO, R_HI, BORDERS
+    return GRID_LATTICE, 0, GRID_N - 1, [1, 2, 17, 48, 49, 80, 95, 96]
+
+
+class RecordingSide:
+    """Monotone ``side`` recording the points it answers for; with
+    ``fetched`` set, every answered point must have been prefetched."""
+
+    def __init__(self, border, fetched=None):
+        self.border = border
+        self.fetched = fetched
+        self.consumed = []
+
+    def __call__(self, x, lo, hi):
+        if self.fetched is not None:
+            assert x in self.fetched, f"{x!r} consumed before prefetch"
+        self.consumed.append(x)
+        return x >= self.border
+
+
+@pytest.mark.parametrize("lattice_name", ["log", "grid"])
+@pytest.mark.parametrize("rel_tol", [0.05, 0.01])
+def test_schedules_reach_the_serial_leaf(lattice_name, rel_tol):
+    lattice, lo, hi, borders = _lattice_case(lattice_name, rel_tol)
+    for border in borders:
+        serial_side = RecordingSide(border)
+        serial = bisect_lattice(lattice, lo, hi, serial_side)
+
+        fetched, batches = set(), []
+
+        def prefetch(points):
+            batches.append(list(points))
+            fetched.update(points)
+
+        spec_side = RecordingSide(border, fetched)
+        speculative = bisect_lattice(lattice, lo, hi, spec_side,
+                                     prefetch=prefetch)
+        assert speculative == serial                          # bitwise
+        assert spec_side.consumed == serial_side.consumed
+        assert batches[0][:2] == [lo, hi]
+        assert all(len(b) <= 2 ** SPECULATE_DEPTH + 1 for b in batches)
+
+        for prior in (serial[0], serial[1], border, lo, hi,
+                      lattice.shift(border, *serial, 5),
+                      lattice.shift(border, *serial, -5)):
+            prior_side = RecordingSide(border)
+            guided = bisect_lattice(lattice, lo, hi, prior_side,
+                                    prior=prior)
+            assert guided == serial, f"border={border!r} prior={prior!r}"
+            if prior == serial[0]:
+                # a prior on the leaf costs its two endpoints
+                assert prior_side.consumed == list(serial)
+
+
+@pytest.mark.parametrize("lattice_name", ["log", "grid"])
+def test_speculative_batches_are_subdivision_trees(lattice_name):
+    lattice, lo, hi, borders = _lattice_case(lattice_name, 0.05)
+    batches = []
+    bisect_lattice(lattice, lo, hi, RecordingSide(borders[2]),
+                   prefetch=batches.append)
+    mid = lattice.split(lo, hi)
+    assert batches[0] == [lo, hi, mid, lattice.split(lo, mid),
+                          lattice.split(mid, hi)]
+    # every point is measured once
+    flat = [x for b in batches for x in b]
+    assert len(flat) == len(set(flat))
