@@ -58,11 +58,8 @@ def _setup_engine(args) -> None:
     """Install the process-wide engine from the CLI flags."""
     from repro.diagnostics import configure_logging, reset_diagnostics
     from repro.engine import configure_default_engine
-    from repro.profiling import profiler
     configure_logging(getattr(args, "log_level", "warning"))
-    reset_diagnostics()
-    profiler.reset()
-    profiler.enabled = bool(getattr(args, "profile", False))
+    reset_diagnostics().timing = bool(getattr(args, "profile", False))
     if getattr(args, "resume", False) \
             and not getattr(args, "checkpoint", None):
         print("--resume requires --checkpoint DIR", file=sys.stderr)
@@ -82,46 +79,25 @@ def _setup_engine(args) -> None:
 
 
 def _report_engine(args) -> None:
-    """Engine statistics (``--verbose``) and run diagnostics to stderr."""
-    if getattr(args, "verbose", False):
-        from repro.engine import default_engine
-        print(default_engine().stats.describe(), file=sys.stderr)
+    """Engine statistics (``--verbose``), run diagnostics and the
+    ``--profile`` block to stderr; each counter prints once."""
     from repro.diagnostics import diagnostics
-    diagnostics().report(sys.stderr)
+    from repro.engine import default_engine
+    stats = default_engine().stats
+    if getattr(args, "verbose", False):
+        print(stats.describe(), file=sys.stderr)
+    diag = diagnostics()
+    diag.report(sys.stderr)
     if getattr(args, "profile", False):
-        from repro.engine import default_engine
-        from repro.profiling import profiler
-        print(profiler.summary(), file=sys.stderr)
-        stats = default_engine().stats
+        print(diag.profile(), file=sys.stderr)
         print(f"cache: {stats.memory_hits} memory hits, "
               f"{stats.disk_hits} disk hits, {stats.misses} misses"
               + (f"; store: {stats.store.describe()}"
                  if stats.store is not None else ""),
               file=sys.stderr)
-        kernels = diagnostics().solver_kernels
-        if kernels:
-            print("solver kernels: "
-                  + ", ".join(f"{k} x{n}"
-                              for k, n in sorted(kernels.items())),
-                  file=sys.stderr)
-        lanes = diagnostics().lane_counters
-        if lanes:
-            print("lane kernel: "
-                  + ", ".join(f"{k} x{n}"
-                              for k, n in sorted(lanes.items())),
-                  file=sys.stderr)
-        trims = diagnostics().trim_counters
-        if trims:
-            print("netlist trim: "
-                  + ", ".join(f"{k} x{n}"
-                              for k, n in sorted(trims.items())),
-                  file=sys.stderr)
-        surr = diagnostics().surrogate_counters
-        if surr:
-            print("surrogate tier: "
-                  + ", ".join(f"{k} x{n}"
-                              for k, n in sorted(surr.items())),
-                  file=sys.stderr)
+        if not diag.eventful:   # else the summary above listed them
+            for line in diag.group_lines():
+                print(line, file=sys.stderr)
 
 
 def _cmd_table1(args) -> int:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.interface import ColumnModel, stored_level
+from repro.diagnostics import diagnostics
 from repro.dram.ops import Op, Operation, format_ops
 from repro.engine.failures import is_failed
 from repro.engine.model import BatchItem, batch_run
-from repro.profiling import profiler
 
 
 def sense_threshold(model: ColumnModel, *, lo: float = 0.0,
@@ -131,7 +131,7 @@ def vsa_curve(model: ColumnModel, resistances: Sequence[float], *,
     in ``failed``), a failed *mid-bisection* probe freezes that point's
     bracket and reports its midpoint at reduced accuracy.
     """
-    with profiler.section("sweep.vsa"):
+    with diagnostics().timer("sweep.vsa"):
         return _vsa_curve(model, resistances, tol=tol, on_error=on_error)
 
 
@@ -247,7 +247,7 @@ def settle_curve(model: ColumnModel, value: int,
     """
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
-    with profiler.section("sweep.settle"):
+    with diagnostics().timer("sweep.settle"):
         init = stored_level(model, 1 - value if from_full else value)
         op = Op(Operation.W0 if value == 0 else Operation.W1)
         ops = format_ops([op] * n_ops)
@@ -313,7 +313,7 @@ def border_crossing_scan(model: ColumnModel,
     bracket, mirroring the dense sweep's hole bridging.  ``dense=True``
     probes every index in order (the reference path for parity tests).
     """
-    with profiler.section("sweep.border_scan"):
+    with diagnostics().timer("sweep.border_scan"):
         return _border_crossing_scan(model, resistances,
                                      n_writes=n_writes, vsa_tol=vsa_tol,
                                      coarse=coarse, dense=dense,

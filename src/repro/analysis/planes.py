@@ -21,10 +21,10 @@ from typing import Sequence
 
 from repro.analysis.curves import SettleCurve, VsaCurve, settle_curve, vsa_curve
 from repro.analysis.interface import ColumnModel
+from repro.diagnostics import diagnostics
 from repro.dram.ops import Op, Operation, format_ops
 from repro.engine.failures import is_failed
 from repro.engine.model import BatchItem, batch_run
-from repro.profiling import profiler
 
 
 def log_grid(lo: float, hi: float, points: int) -> list[float]:
@@ -175,7 +175,7 @@ def result_planes(model: ColumnModel, resistances: Sequence[float], *,
             seed = min(max(threshold + sign * seed_offset, 0.0), vdd)
             points.append((label, BatchItem(ops=read_ops, init_vc=seed,
                                             resistance=r)))
-    with profiler.section("sweep.traces"):
+    with diagnostics().timer("sweep.traces"):
         runs = iter(batch_run(model, [item for _, item in points],
                               on_error=on_error))
 

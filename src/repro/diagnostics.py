@@ -1,4 +1,5 @@
-"""Run diagnostics: structured logging plus failure/rescue/retry accounting.
+"""Run diagnostics: the one registry of a run's counters and timers,
+plus structured logging.
 
 The resilience layer spans three tiers — the SPICE solvers (convergence
 rescue), the execution engine (fault-isolated batches) and the analysis
@@ -9,22 +10,29 @@ through this module so one run produces one coherent story:
   ``logging`` tree rooted at ``"repro"``, writing structured one-line
   records to stderr.  Nothing is emitted until :func:`configure_logging`
   installs the handler (library use stays silent by default).
-* :class:`RunDiagnostics` — per-run counters of failures, rescues,
-  retries, timeouts and worker crashes, with a human-readable summary.
-  The process-wide instance (:func:`diagnostics`) is what the CLI prints
-  to stderr after a sweep; :func:`reset_diagnostics` starts a fresh run.
+* :class:`RunDiagnostics` — the registry of one run: failures, rescues,
+  retries, timeouts and worker crashes, dotted activity counters
+  (``kernel.*`` solver kernels, ``lane.*`` batched lanes, ``trim.*``
+  netlist trimming, ``transient.steps``) and opt-in wall-clock timers
+  (``transient.*``, ``sweep.*``, ``surrogate.*``; on under
+  ``--profile``).  The process-wide instance (:func:`diagnostics`) is
+  what the CLI prints to stderr after a sweep; :func:`reset_diagnostics`
+  starts a fresh run.
 
-Counters recorded inside worker processes stay in those processes; the
-parent learns about worker-side problems through the structured
-:class:`~repro.engine.failures.FailedResult` records the executor hands
-back, which it folds into the parent's diagnostics.
+Worker processes count into their own registry.  The pool entry points
+of :mod:`repro.engine.executor` submit work through :func:`run_counted`,
+which ships the worker's registry back with each outcome, and fold it
+into the parent's with :func:`merge_counted` — so run totals cover
+every process that ran, whatever ``--workers`` says.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
-from dataclasses import dataclass, field
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 #: Root logger name of the package; every tier logs under a child.
 LOGGER_NAME = "repro"
@@ -34,6 +42,10 @@ LOG_FORMAT = "%(asctime)s %(levelname)-8s %(name)s | %(message)s"
 
 #: Levels accepted by :func:`configure_logging` and the CLI flag.
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+#: Counter prefixes rendered as one ``label: name xN, ...`` line each.
+COUNTER_GROUPS = {"kernel": "solver kernels", "lane": "lane kernel",
+                  "trim": "netlist trim"}
 
 
 def get_logger(name: str | None = None) -> logging.Logger:
@@ -82,7 +94,7 @@ def configure_logging(level: str | int = "warning",
 
 @dataclass
 class RunDiagnostics:
-    """Failure/rescue/retry accounting of one run.
+    """The counters and timers of one run.
 
     ``failures`` counts units of work that produced no result (after all
     rescue and retry machinery gave up); ``rescues`` counts solves that
@@ -90,6 +102,11 @@ class RunDiagnostics:
     items re-driven after a worker crash; ``timeouts`` and
     ``worker_crashes`` break the failure causes down; ``cache_evictions``
     counts corrupted on-disk cache entries deleted on read.
+
+    ``counts`` holds the dotted activity counters of every layer (always
+    on, informational: they never make a run ``eventful``); ``times``
+    the dotted wall-clock seconds of the timed sections, recorded only
+    while ``timing`` is set.
     """
 
     failures: int = 0
@@ -105,10 +122,13 @@ class RunDiagnostics:
     journal_missing: int = 0
     failure_kinds: dict[str, int] = field(default_factory=dict)
     rescue_stages: dict[str, int] = field(default_factory=dict)
-    solver_kernels: dict[str, int] = field(default_factory=dict)
-    lane_counters: dict[str, int] = field(default_factory=dict)
-    trim_counters: dict[str, int] = field(default_factory=dict)
-    surrogate_counters: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
+    times: dict[str, float] = field(default_factory=dict)
+
+    #: Timers record only while set (``--profile``); a disabled timer
+    #: costs one attribute check.  Not a field: it is a switch of this
+    #: process, not a count to merge.
+    timing = False
 
     # ------------------------------------------------------------------
     # recording
@@ -129,41 +149,30 @@ class RunDiagnostics:
         self.rescue_stages[stage] = self.rescue_stages.get(stage, 0) + 1
         get_logger("diagnostics").info("convergence rescue via %s", stage)
 
-    def record_kernel_counters(self, counters: dict[str, int]) -> None:
-        """Fold solver-kernel counters (stamp plans, factorization cache,
-        modified-Newton refactors) into the run totals.  Informational:
-        kernel activity never makes a run ``eventful``.
-        """
-        for name, n in counters.items():
-            self.solver_kernels[name] = self.solver_kernels.get(name, 0) + n
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the dotted counter ``name``."""
+        self.counts[name] = self.counts.get(name, 0) + n
 
-    def record_lane_counters(self, counters: dict[str, int]) -> None:
-        """Fold batched-lane kernel counters (lanes launched, converged,
-        isolated, continuation warm-start hits) into the run totals.
-        Informational, like the solver-kernel counters — lane activity
-        never makes a run ``eventful``.
-        """
-        for name, n in counters.items():
-            self.lane_counters[name] = self.lane_counters.get(name, 0) + n
+    def count_all(self, counts: dict[str, int], group: str) -> None:
+        """Add a layer's tally of counters under ``group.<name>``."""
+        for name, n in counts.items():
+            self.count(f"{group}.{name}", n)
 
-    def record_trim_counters(self, counters: dict[str, int]) -> None:
-        """Fold netlist-trimming counters (windows applied/bypassed,
-        cells and nodes pruned) into the run totals.  Informational,
-        like the solver-kernel counters — trimming activity never makes
-        a run ``eventful``.
-        """
-        for name, n in counters.items():
-            self.trim_counters[name] = self.trim_counters.get(name, 0) + n
+    def add_time(self, name: str, seconds: float) -> None:
+        """Accumulate ``seconds`` under the dotted timer ``name``."""
+        self.times[name] = self.times.get(name, 0.0) + seconds
 
-    def record_surrogate_counters(self, counters: dict[str, int]) -> None:
-        """Fold surrogate-tier counters (queries served, electrical
-        fallbacks, calibration refits) into the run totals.
-        Informational, like the solver-kernel counters — surrogate
-        activity never makes a run ``eventful``.
-        """
-        for name, n in counters.items():
-            self.surrogate_counters[name] = \
-                self.surrogate_counters.get(name, 0) + n
+    @contextmanager
+    def timer(self, name: str):
+        """Time the enclosed block under ``name`` while ``timing``."""
+        if not self.timing:
+            yield
+            return
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add_time(name, time.perf_counter() - t0)
 
     def record_retry(self, count: int = 1) -> None:
         """Batch items re-driven after an infrastructure fault."""
@@ -234,13 +243,9 @@ class RunDiagnostics:
         lines = [f"resilience: {self.failures} failed, "
                  f"{self.rescues} rescued, {self.retries} retried"]
         if self.failure_kinds:
-            kinds = ", ".join(f"{k} x{n}" for k, n in
-                              sorted(self.failure_kinds.items()))
-            lines.append(f"  failures by kind: {kinds}")
+            lines.append(f"  failures by kind: {_tally(self.failure_kinds)}")
         if self.rescue_stages:
-            stages = ", ".join(f"{k} x{n}" for k, n in
-                               sorted(self.rescue_stages.items()))
-            lines.append(f"  rescues by stage: {stages}")
+            lines.append(f"  rescues by stage: {_tally(self.rescue_stages)}")
         if self.timeouts:
             lines.append(f"  timeouts: {self.timeouts}")
         if self.worker_crashes:
@@ -260,22 +265,7 @@ class RunDiagnostics:
                          f"recovered, {self.journal_holes} holes "
                          f"replayed, {self.journal_missing} missing "
                          f"from store")
-        if self.solver_kernels:
-            kernels = ", ".join(f"{k} x{n}" for k, n in
-                                sorted(self.solver_kernels.items()))
-            lines.append(f"  solver kernels: {kernels}")
-        if self.lane_counters:
-            lanes = ", ".join(f"{k} x{n}" for k, n in
-                              sorted(self.lane_counters.items()))
-            lines.append(f"  lane kernel: {lanes}")
-        if self.trim_counters:
-            trims = ", ".join(f"{k} x{n}" for k, n in
-                              sorted(self.trim_counters.items()))
-            lines.append(f"  netlist trim: {trims}")
-        if self.surrogate_counters:
-            surr = ", ".join(f"{k} x{n}" for k, n in
-                             sorted(self.surrogate_counters.items()))
-            lines.append(f"  surrogate tier: {surr}")
+        lines += [f"  {line}" for line in self.group_lines()]
         return "\n".join(lines)
 
     def report(self, stream=None) -> None:
@@ -283,6 +273,45 @@ class RunDiagnostics:
         if self.eventful:
             print(self.summary(), file=stream if stream is not None
                   else sys.stderr)
+
+    def group(self, prefix: str) -> dict[str, int]:
+        """The counters under ``prefix.``, keyed by their leaf names."""
+        head = prefix + "."
+        return {name[len(head):]: n for name, n in self.counts.items()
+                if name.startswith(head)}
+
+    def group_lines(self) -> list[str]:
+        """One ``label: name xN, ...`` line per :data:`COUNTER_GROUPS`
+        prefix that counted anything."""
+        groups = {label: self.group(prefix)
+                  for prefix, label in COUNTER_GROUPS.items()}
+        return [f"{label}: {_tally(group)}"
+                for label, group in groups.items() if group]
+
+    def profile(self) -> str:
+        """The ``--profile`` table: timers (slowest first), then the
+        counters outside :data:`COUNTER_GROUPS`."""
+        lines = ["profile summary"]
+        if self.times:
+            width = max(len(k) for k in self.times)
+            for name in sorted(self.times, key=self.times.get,
+                               reverse=True):
+                lines.append(f"  {name:<{width}}  "
+                             f"{self.times[name] * 1e3:10.2f} ms")
+        other = {name: n for name, n in self.counts.items()
+                 if name.split(".", 1)[0] not in COUNTER_GROUPS}
+        if other:
+            width = max(len(k) for k in other)
+            for name in sorted(other):
+                lines.append(f"  {name:<{width}}  {other[name]:>10d}")
+        if len(lines) == 1:
+            lines.append("  (no samples)")
+        return "\n".join(lines)
+
+
+def _tally(counts: dict[str, int]) -> str:
+    """``name xN, ...`` in name order."""
+    return ", ".join(f"{k} x{n}" for k, n in sorted(counts.items()))
 
 
 _DIAGNOSTICS = RunDiagnostics()
@@ -298,3 +327,34 @@ def reset_diagnostics() -> RunDiagnostics:
     global _DIAGNOSTICS
     _DIAGNOSTICS = RunDiagnostics()
     return _DIAGNOSTICS
+
+
+def fold(into, other, sign: int = 1) -> None:
+    """Add the counter fields of dataclass ``other`` (times ``sign``)
+    into ``into``: numbers add, dicts add key by key, anything else is
+    left alone.  The one piece of counter arithmetic — engine-stat
+    snapshots, deltas and merges, and worker registries, all use it."""
+    for f in fields(into):
+        mine, theirs = getattr(into, f.name), getattr(other, f.name)
+        if isinstance(mine, dict):
+            for key, n in theirs.items():
+                mine[key] = mine.get(key, 0) + sign * n
+        elif isinstance(mine, (int, float)):
+            setattr(into, f.name, mine + sign * theirs)
+
+
+def run_counted(fn, item):
+    """Pool-worker side of the counter merge: ``fn(item)`` counted on a
+    fresh registry, returned with it as ``(outcome, registry)``."""
+    timing = diagnostics().timing
+    registry = reset_diagnostics()
+    registry.timing = timing
+    return fn(item), registry
+
+
+def merge_counted(counted):
+    """Parent side of :func:`run_counted`: fold the worker's registry
+    into this run's and return the worker's outcome."""
+    outcome, registry = counted
+    fold(diagnostics(), registry)
+    return outcome

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.profiling import profiler
 from repro.stress import NOMINAL_STRESS, StressConditions
 from repro.dram.column import (DEFECT_DEVICE, ColumnNetlist, DefectSite,
                                build_column)
@@ -207,6 +206,14 @@ def _stack_states(circuit, system: System, states) -> np.ndarray:
     return x2
 
 
+def _add_batch_counters(counters: dict, batch: dict) -> None:
+    """Sum one lane transient's counters into a sequence's; the launched
+    and converged lanes are counted per sequence, not per batch."""
+    for name, value in batch.items():
+        if name not in ("lanes_launched", "lanes_converged"):
+            counters[name] = counters.get(name, 0) + value
+
+
 class LaneRunner:
     """Run one operation sequence over many ``Rop`` lanes at once.
 
@@ -277,10 +284,7 @@ class LaneRunner:
             batch = lane_transient(lanes, self.stress.tcyc, dt,
                                    temp_c=self.stress.temp_c,
                                    method="be", x0=x2)
-            counters["lane_continuation_hits"] += \
-                batch.counters.get("lane_continuation_hits", 0)
-            counters["lanes_isolated"] += \
-                batch.counters.get("lanes_isolated", 0)
+            _add_batch_counters(counters, batch.counters)
             survivors = []
             x_rows = []
             for pos, res in zip(active, batch.results):
@@ -615,16 +619,11 @@ class ArrayLaneRunner:
             hits, misses = self._bank.seed(key, lanes)
             counters["lane_warm_start_hits"] += hits
             counters["lane_warm_start_misses"] += misses
-            if profiler.enabled:
-                profiler.count("lanes.warm_start_hits", hits)
-                profiler.count("lanes.warm_start_misses", misses)
             batch = lane_transient(lanes, self.stress.tcyc, dt,
                                    temp_c=self.stress.temp_c,
                                    method="be", x0=x2,
                                    warm=self._bank.view(key))
-            for name, value in batch.counters.items():
-                if name not in ("lanes_launched", "lanes_converged"):
-                    counters[name] = counters.get(name, 0) + value
+            _add_batch_counters(counters, batch.counters)
             survivors = []
             x_rows = []
             for row, (pos, res) in enumerate(zip(active, batch.results)):

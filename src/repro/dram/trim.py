@@ -462,4 +462,4 @@ def trim_array(rows: int, cols: int,
 
 def _record_trim(counters: dict) -> None:
     from repro.diagnostics import diagnostics
-    diagnostics().record_trim_counters(counters)
+    diagnostics().count_all(counters, "trim")

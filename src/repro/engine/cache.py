@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.diagnostics import fold
 from repro.dram.ops import SequenceResult
 from repro.engine.request import SequenceRequest
 from repro.store.sharded import ShardedStore, StoreStats
@@ -85,49 +86,19 @@ class EngineStats:
 
     def snapshot(self) -> "EngineStats":
         """A frozen copy (for before/after deltas)."""
-        return EngineStats(self.hits, self.misses, self.cycles_saved,
-                           self.cycles_simulated, self.disk_hits,
-                           self.failures, self.retries,
-                           self.lane_groups, self.lane_sparse_groups,
-                           self.lane_warm_hits, self.lane_warm_misses,
-                           self.surrogate_hits, self.surrogate_fallbacks,
-                           self.surrogate_refits)
+        copy = EngineStats()
+        fold(copy, self)
+        return copy
 
     def delta_since(self, before: "EngineStats") -> "EngineStats":
         """Stats accumulated since ``before`` was snapshotted."""
-        return EngineStats(
-            self.hits - before.hits,
-            self.misses - before.misses,
-            self.cycles_saved - before.cycles_saved,
-            self.cycles_simulated - before.cycles_simulated,
-            self.disk_hits - before.disk_hits,
-            self.failures - before.failures,
-            self.retries - before.retries,
-            self.lane_groups - before.lane_groups,
-            self.lane_sparse_groups - before.lane_sparse_groups,
-            self.lane_warm_hits - before.lane_warm_hits,
-            self.lane_warm_misses - before.lane_warm_misses,
-            self.surrogate_hits - before.surrogate_hits,
-            self.surrogate_fallbacks - before.surrogate_fallbacks,
-            self.surrogate_refits - before.surrogate_refits,
-        )
+        delta = self.snapshot()
+        fold(delta, before, -1)
+        return delta
 
     def merge(self, other: "EngineStats") -> None:
         """Fold another stats object (e.g. from a worker) into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.cycles_saved += other.cycles_saved
-        self.cycles_simulated += other.cycles_simulated
-        self.disk_hits += other.disk_hits
-        self.failures += getattr(other, "failures", 0)
-        self.retries += getattr(other, "retries", 0)
-        self.lane_groups += getattr(other, "lane_groups", 0)
-        self.lane_sparse_groups += getattr(other, "lane_sparse_groups", 0)
-        self.lane_warm_hits += getattr(other, "lane_warm_hits", 0)
-        self.lane_warm_misses += getattr(other, "lane_warm_misses", 0)
-        self.surrogate_hits += getattr(other, "surrogate_hits", 0)
-        self.surrogate_fallbacks += getattr(other, "surrogate_fallbacks", 0)
-        self.surrogate_refits += getattr(other, "surrogate_refits", 0)
+        fold(self, other)
 
     #: Section order of :meth:`describe`.  New counter groups must slot
     #: into this sequence (and its regression test) rather than append

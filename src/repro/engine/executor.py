@@ -13,7 +13,10 @@ value objects and *reconstruct* the column model locally — netlists
 never cross a process boundary.  Each process keeps a small model cache
 keyed by (backend, technology, defect kind, cell), so a sweep that
 varies only the resistance or the stress reuses one built netlist, just
-like the hand-rolled sweeps did.
+like the hand-rolled sweeps did.  Both pool paths submit through
+:func:`repro.diagnostics.run_counted`: a worker's counters and timers
+travel back with its outcome and merge into the parent's run
+diagnostics.
 
 Fault isolation (the resilience layer):
 
@@ -46,7 +49,8 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.diagnostics import diagnostics, get_logger
+from repro.diagnostics import (diagnostics, get_logger, merge_counted,
+                               run_counted)
 from repro.dram.ops import SequenceResult, parse_ops
 from repro.engine.cache import EngineStats, ResultCache
 from repro.engine.failures import FailedResult, is_failed
@@ -467,14 +471,13 @@ class BatchExecutor:
                 "lane group of %d failed (%s: %s); running serially",
                 len(group), type(exc).__name__, exc)
             return [self._execute_serial(r, on_error) for r in group]
-        diagnostics().record_lane_counters(counters)
-        self._stats.lane_groups += 1
-        self._stats.lane_sparse_groups += \
-            counters.get("lane_sparse_groups", 0) and 1
-        self._stats.lane_warm_hits += \
-            counters.get("lane_warm_start_hits", 0)
-        self._stats.lane_warm_misses += \
-            counters.get("lane_warm_start_misses", 0)
+        stats = self._stats
+        stats.lane_groups += 1
+        stats.lane_sparse_groups += \
+            counters.get("lane_sparse_transients", 0) and 1
+        stats.lane_warm_hits += counters.pop("lane_warm_start_hits", 0)
+        stats.lane_warm_misses += counters.pop("lane_warm_start_misses", 0)
+        diagnostics().count_all(counters, "lane")
         out = []
         for request, result in zip(group, lane_results):
             if result is None:
@@ -520,7 +523,8 @@ class BatchExecutor:
             futures = []
             for i in todo:
                 attempts[i] += 1
-                futures.append((i, pool.submit(self._work, pending[i])))
+                futures.append((i, pool.submit(run_counted, self._work,
+                                               pending[i])))
             for i, fut in futures:
                 if error is not None or dirty:
                     # The pool is compromised (or we are about to
@@ -529,7 +533,7 @@ class BatchExecutor:
                     if fut.done() and not fut.cancelled():
                         exc = fut.exception()
                         if exc is None:
-                            outcomes[i] = fut.result()
+                            outcomes[i] = merge_counted(fut.result())
                         elif isinstance(exc, BrokenProcessPool):
                             rerun.append(i)
                         elif on_error == "isolate":
@@ -542,7 +546,7 @@ class BatchExecutor:
                         rerun.append(i)
                     continue
                 try:
-                    outcomes[i] = fut.result(timeout=timeout)
+                    outcomes[i] = merge_counted(fut.result(timeout=timeout))
                 except FuturesTimeoutError:
                     # The worker may be wedged: fail the item, rebuild
                     # the pool for whatever is still outstanding.
@@ -704,10 +708,10 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],
     try:
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(items))) as pool:
-            futures = [(i, pool.submit(fn, item))
+            futures = [(i, pool.submit(run_counted, fn, item))
                        for i, item in enumerate(items)]
             for i, fut in futures:
-                results[i] = fut.result()
+                results[i] = merge_counted(fut.result())
         return results
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         missing = [i for i, r in enumerate(results) if r is _UNSET]

@@ -22,11 +22,11 @@ dominates every transient.  This module makes the linear-solve kernel a
   (both MOSFET orientation variants) plus the gmin diagonal.  Per solve
   the values are gathered from the dense assembly scratch at those
   fixed positions — O(nnz) — so only the factorization itself changes
-  complexity class.  Numeric factorizations are reused across Newton
-  iterations and time steps through the same caches as the dense path
-  (:class:`~repro.spice.linalg.FactorizationCache`, modified-Newton
-  reuse); the symbolic structure (indptr/indices) is shared by every
-  factorization of the system.
+  complexity class.  Numeric factorizations are reused across time
+  steps through the same cache as the dense path
+  (:class:`~repro.spice.linalg.FactorizationCache`); the symbolic
+  structure (indptr/indices) is shared by every factorization of the
+  system.
 * a **registry** (:func:`register_backend`, :func:`available_backends`)
   plus the **auto-selection policy** (:func:`resolve_backend`): keyed
   on system size and pattern density, measured so the seed column stays

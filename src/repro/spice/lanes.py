@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.profiling import profiler
+from repro.diagnostics import diagnostics
 from repro.spice.backends import SparseBackend, resolve_backend
 from repro.spice.errors import SpiceError
 from repro.spice.linalg import dense_errstate
@@ -583,16 +583,11 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
     x2 = x0.astype(float, copy=True)
     alive = np.ones(n_lanes, dtype=bool)
     counters = {"lanes_launched": n_lanes, "lanes_isolated": 0,
-                "lane_continuation_hits": 0}
+                "lane_continuation_hits": 0, "lane_transients": 1}
     data = np.zeros((n_lanes, len(grid), num_nodes))
     data[:, 0] = x2[:, :num_nodes]
 
-    if profiler.enabled:
-        profiler.count("lanes.transients")
-        profiler.count("lanes.width", n_lanes)
-        if getattr(lanes, "sparse", False):
-            profiler.count("lanes.sparse_transients")
-    with profiler.section("transient.lanes"), dense_errstate():
+    with diagnostics().timer("transient.lanes"), dense_errstate():
         t_prev = grid[0]
         x2_prev: np.ndarray | None = None
         x2_prev2: np.ndarray | None = None
@@ -685,7 +680,7 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
 
     counters["lanes_converged"] = int(alive.sum())
     if getattr(lanes, "sparse", False):
-        counters["lane_sparse_groups"] = 1
+        counters["lane_sparse_transients"] = 1
     extra = getattr(lanes, "counters", None)
     if extra:
         for name, value in extra.items():

@@ -24,8 +24,7 @@ On top of the plans the system keeps two hot-loop caches:
   the step base only depends on the step size, and transient grids are
   overwhelmingly uniform;
 * a **factorization cache** (:class:`~repro.spice.linalg.FactorizationCache`)
-  of LU factors of those step matrices, used by the linear fast path and
-  the opt-in modified-Newton mode.
+  of LU factors of those step matrices, used by the linear fast path.
 
 A small ``gmin`` conductance from every node to ground regularises floating
 nodes (e.g. a storage node isolated behind an off transistor).
@@ -285,9 +284,10 @@ class System:
     # diagnostics
     # ------------------------------------------------------------------
     def flush_kernel_counters(self) -> None:
-        """Fold accumulated kernel counters into the run diagnostics."""
+        """Fold accumulated kernel counters into the run diagnostics
+        (as ``kernel.<name>``)."""
         if not self.kernel_counters:
             return
         from repro.diagnostics import diagnostics
-        diagnostics().record_kernel_counters(self.kernel_counters)
+        diagnostics().count_all(self.kernel_counters, "kernel")
         self.kernel_counters = {}

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.spice.errors import ConvergenceError, SingularMatrixError
-from repro.spice.linalg import (LUFactorization, lu_factor,
-                                solve_dense_lanes, solve_dense_nocheck)
+from repro.spice.linalg import (LUFactorization, solve_dense_lanes,
+                                solve_dense_nocheck)
 from repro.spice.mna import System
 from repro.spice.netlist import AnalysisContext
 
@@ -38,7 +38,8 @@ GMIN_RESCUE_LADDER = (1e-3, 1e-5, 1e-7, 1e-9, 0.0)
 #: Source-stepping ramp of the rescue path (ends on the exact system).
 SOURCE_RESCUE_STEPS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
-#: Modified Newton refactors when the update norm stops shrinking by this.
+#: The lane (chord) iteration refactors when the update norm stops
+#: shrinking by this.
 MODIFIED_NEWTON_SHRINK = 0.5
 
 #: Extra convergence tightening of the lane (chord) iteration.  A full
@@ -75,8 +76,6 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
                  vstep_max: float = DEFAULT_VSTEP_MAX,
                  extra_gmin: float = 0.0,
                  linear_fact: LUFactorization | None = None,
-                 modified: bool = False,
-                 shrink: float = MODIFIED_NEWTON_SHRINK,
                  fast_solve: bool = False,
                  backend=None) -> np.ndarray:
     """Solve the (possibly nonlinear) system for one analysis point.
@@ -90,12 +89,6 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     ``linear_fact`` — a cached :class:`LUFactorization` of ``A_step``;
     used for the linear fast path so one factorization serves every step
     sharing the same base matrix.
-
-    ``modified`` — opt-in modified Newton: reuse the last Jacobian's LU
-    while the update norm is shrinking geometrically (by ``shrink`` per
-    pass) and refactor on slowdown.  Converges to the same tolerance but
-    the final iterate can differ from full Newton in the last ulps, so it
-    is off by default (see the parity caveat in DESIGN.md).
 
     ``fast_solve`` — route dense solves through
     :func:`~repro.spice.linalg.solve_dense_nocheck` (bitwise-identical
@@ -132,21 +125,11 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
 
     x = x0.copy()
     dx = x
-    fact: LUFactorization | None = None
-    dv_prev: float | None = None
     build_iteration = system.build_iteration
     for _ in range(max_iter):
         ctx.x = x
         A, b = build_iteration(A_step, b_step, ctx, extra_gmin)
-        if modified:
-            if fact is None:
-                fact = backend.factorize(A) if sparse else lu_factor(A)
-                if dv_prev is not None:
-                    system._count("newton_refactor")
-            else:
-                system._count("newton_jacobian_reuse")
-            x_new = fact.solve_fast(b)
-        elif sparse:
+        if sparse:
             # Full Newton refactors every pass on the dense path too
             # (np.linalg.solve factors internally); the sparse kernel
             # just swaps the factorization's complexity class.
@@ -167,10 +150,6 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
         x = x + dx
         if dv_max < vtol:
             return x
-        if modified and dv_prev is not None \
-                and dv_max >= shrink * dv_prev:
-            fact = None  # stale Jacobian: refactor next pass
-        dv_prev = dv_max
     nodes = _failing_nodes(system, dx, vtol)
     raise ConvergenceError(
         f"Newton iteration did not converge within {max_iter} iterations "
@@ -243,9 +222,8 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
 
     The update is the residual form of the per-lane Newton step,
     ``dx = M (b - A x)``, where ``M`` is each lane's cached Jacobian
-    inverse — the batched equivalent of :func:`newton_solve`'s opt-in
-    modified mode.  While the update norm shrinks geometrically (by
-    ``shrink`` per pass, the legacy criterion) the factorization is
+    inverse — a batched modified (chord) Newton.  While the update norm
+    shrinks geometrically (by ``shrink`` per pass) the factorization is
     reused across iterations *and* time steps, so the LAPACK cost drops
     out of quiet stretches of the cycle entirely; a stale lane
     refactors and its next pass is a full Newton step.  Because the

@@ -35,7 +35,7 @@ import time as _time
 
 import numpy as np
 
-from repro.profiling import profiler
+from repro.diagnostics import diagnostics
 from repro.spice.backends import resolve_backend
 from repro.spice.errors import ConvergenceError, SpiceError
 from repro.spice.linalg import dense_errstate
@@ -184,7 +184,6 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
               gmin: float = DEFAULT_GMIN,
               max_step_halvings: int = 14,
               use_kernels: bool | None = None,
-              newton: str = "full",
               system: System | None = None,
               backend: str | None = None) -> TransientResult:
     """Run a transient analysis from 0 to ``tstop``.
@@ -213,11 +212,6 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         ``True``/``False`` selects the kernel fast path or the legacy
         per-device loop; ``None`` (default) follows the process-wide
         default (:func:`set_kernels_default`).
-    newton:
-        ``"full"`` (default) refactors the Jacobian every iteration;
-        ``"modified"`` reuses the last LU while convergence is geometric
-        (faster for large mostly-converged steps, final iterates can
-        differ in the last ulps — see DESIGN.md).
     system:
         A prebuilt :class:`System` for ``circuit`` to reuse across calls
         (the DRAM runner chains cycles over one system, keeping its
@@ -238,8 +232,6 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         raise SpiceError("tstop and dt must be positive")
     if method not in ("be", "trap"):
         raise SpiceError(f"unknown integration method {method!r}")
-    if newton not in ("full", "modified"):
-        raise SpiceError(f"unknown newton mode {newton!r}")
     if use_kernels is None:
         use_kernels = _KERNELS_DEFAULT
 
@@ -277,7 +269,7 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         backend_obj = resolved if resolved.sparse else None
         result = _run_kernel_loop(system, circuit, grid, x, dt_floor,
                                   temp_c, method, node_names, num_nodes,
-                                  newton, backend_obj)
+                                  backend_obj)
     else:
         result = _run_legacy_loop(system, grid, x, dt_floor, temp_c,
                                   method, node_names, num_nodes)
@@ -288,7 +280,7 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
 def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
                      x: np.ndarray, dt_floor: float, temp_c: float,
                      method: str, node_names: list[str], num_nodes: int,
-                     newton: str, backend=None) -> TransientResult:
+                     backend=None) -> TransientResult:
     """Kernel fast path: cursor grid walk + bounded bisection stack.
 
     The bisection stack replaces the legacy ``pending.insert(0)/pop(0)``
@@ -305,26 +297,28 @@ def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
     count = 1
     rescues: list[RescueEvent] = []
 
-    modified = newton == "modified"
     linear = not system.has_nonlinear
     ctx = AnalysisContext(time=0.0, dt=None, temp_c=temp_c, x=x,
                           x_prev=x, method=method)
-    prof = profiler if profiler.enabled else None
+    diag = diagnostics()
+    timers = diag if diag.timing else None
 
     # One errstate entry serves every fast dense solve of the analysis
     # (newton_solve with fast_solve=True requires the caller to hold it;
     # entering it per step costs microseconds that add up).  Rescue paths
     # that go through np.linalg.solve stack their own errstate on top.
     with dense_errstate():
-        return _step_kernel_loop(system, grid, x, dt_floor, ctx, method,
-                                 node_names, num_nodes, modified, linear,
-                                 prof, times, data, capacity, count,
-                                 rescues, backend)
+        result = _step_kernel_loop(system, grid, x, dt_floor, ctx, method,
+                                   node_names, num_nodes, linear, timers,
+                                   times, data, capacity, count, rescues,
+                                   backend)
+    diag.count("transient.steps", len(result.time) - 1)
+    return result
 
 
 def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
-                      num_nodes, modified, linear, prof, times, data,
-                      capacity, count, rescues, backend=None):
+                      num_nodes, linear, timers, times, data, capacity,
+                      count, rescues, backend=None):
     """The kernel step loop proper (see :func:`_run_kernel_loop`)."""
     n_grid = len(grid)
     t = 0.0
@@ -342,19 +336,19 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
         ctx.dt = dt_step
         ctx.x = x
         ctx.x_prev = x
-        if prof:
+        if timers:
             _t0 = _time.perf_counter()
         A_step = system.step_matrix(dt_step, method)
         b_step = system.step_rhs(ctx)
         fact = (system.step_factorization(dt_step, method, backend)
                 if linear else None)
-        if prof:
+        if timers:
             _t1 = _time.perf_counter()
-            prof.add("transient.assemble_step", _t1 - _t0)
+            timers.add_time("transient.assemble_step", _t1 - _t0)
         try:
             x_new = newton_solve(system, A_step, b_step, ctx, x,
-                                 linear_fact=fact, modified=modified,
-                                 fast_solve=True, backend=backend)
+                                 linear_fact=fact, fast_solve=True,
+                                 backend=backend)
         except ConvergenceError as exc:
             # Step bisection first (identical to the plain path, so runs
             # that never needed a rescue are bit-identical), then — once
@@ -377,9 +371,8 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
                     rescue_trail=("bisect", "gmin")) from None
             rescues.append(RescueEvent(t_target, "gmin"))
             _record_rescue("gmin")
-        if prof:
-            prof.add("transient.solve", _time.perf_counter() - _t1)
-            prof.count("transient.steps")
+        if timers:
+            timers.add_time("transient.solve", _time.perf_counter() - _t1)
         system.accept_step(x, x_new, dt_step, method)
         x = x_new
         t = t_target
@@ -450,5 +443,4 @@ def _run_legacy_loop(system: System, grid: list[float], x: np.ndarray,
 
 def _record_rescue(stage: str) -> None:
     """Count a successful rescue in the run diagnostics."""
-    from repro.diagnostics import diagnostics
     diagnostics().record_rescue(stage)

@@ -17,8 +17,8 @@ calibrated predictors of :mod:`repro.surrogate.br`:
 Every fallback (and every prior-mode search) journals its electrical
 result as a calibration point — the active-learning loop.  Counters
 land on the engine's :class:`~repro.engine.cache.EngineStats`
-(``surrogate_hits`` / ``surrogate_fallbacks`` / ``surrogate_refits``)
-and the run diagnostics; phase timings are profiled under
+(``surrogate_hits`` / ``surrogate_fallbacks`` / ``surrogate_refits``);
+phase timings land in the run diagnostics under
 ``surrogate.predict`` / ``surrogate.serve`` / ``surrogate.direction`` /
 ``surrogate.refit``.
 
@@ -37,8 +37,8 @@ import math
 
 from repro.analysis.border import BorderResult
 from repro.defects.catalog import Defect
+from repro.diagnostics import diagnostics
 from repro.dram.tech import TechnologyParams
-from repro.profiling import profiler
 from repro.stress import StressConditions, StressKind
 from repro.surrogate.br import BRPredictor, Prediction
 from repro.surrogate.store import CalibrationJournal
@@ -128,8 +128,6 @@ class SurrogateTier:
     def _count(self, counter: str, n: int = 1) -> None:
         stats = self.stats()
         setattr(stats, counter, getattr(stats, counter) + n)
-        from repro.diagnostics import diagnostics
-        diagnostics().record_surrogate_counters({counter: n})
 
     # ------------------------------------------------------------------
     # border queries
@@ -137,7 +135,7 @@ class SurrogateTier:
     def predict_br(self, defect: Defect, stress: StressConditions, *,
                    backend: str = "electrical",
                    rel_tol: float = 0.05) -> Prediction:
-        with profiler.section("surrogate.predict"):
+        with diagnostics().timer("surrogate.predict"):
             return self.predictor.predict(defect, stress,
                                           backend=backend,
                                           rel_tol=rel_tol)
@@ -162,7 +160,7 @@ class SurrogateTier:
         """
         if not self.serves:
             return None
-        with profiler.section("surrogate.serve"):
+        with diagnostics().timer("surrogate.serve"):
             prediction = self.predict_br(defect, stress,
                                          backend=backend,
                                          rel_tol=rel_tol)
@@ -186,7 +184,7 @@ class SurrogateTier:
                   backend: str = "electrical",
                   rel_tol: float = 0.05) -> None:
         """Journal a completed electrical search (active learning)."""
-        with profiler.section("surrogate.refit"):
+        with diagnostics().timer("surrogate.refit"):
             changed = self.journal.record(defect, backend=backend,
                                           tech=self.tech,
                                           rel_tol=rel_tol, stress=stress,
@@ -214,7 +212,7 @@ class SurrogateTier:
         """
         if not self.serves:
             return None
-        with profiler.section("surrogate.direction"):
+        with diagnostics().timer("surrogate.direction"):
             from repro.behav import behavioral_model
             from repro.core.directions import analyze_direction
             model = behavioral_model(defect, stress=base, tech=self.tech)

@@ -176,9 +176,9 @@ class TestPolicy:
         try:
             trim_array(6, 6, defect=DefectSite("open_sn", 14, 1e5),
                        policy="force")
-            assert diag.trim_counters["trim_applied"] == 1
+            assert diag.counts["trim.trim_applied"] == 1
             # 6x6 minus the 3x3 window around the (2, 2) victim.
-            assert diag.trim_counters["trim_cells_pruned"] == 27
+            assert diag.counts["trim.trim_cells_pruned"] == 27
             assert not diag.eventful  # informational only
         finally:
             reset_diagnostics()

@@ -11,6 +11,7 @@ import pytest
 import repro.engine.executor as executor_mod
 from repro.defects import Defect, DefectKind
 from repro.diagnostics import diagnostics, reset_diagnostics
+from repro.dram.column import DefectSite
 from repro.engine import BatchExecutor, ResultCache
 from repro.engine.request import SequenceRequest
 from repro.stress import NOMINAL_STRESS
@@ -46,19 +47,43 @@ class TestLaneGroupParity:
     def test_lane_counters_reach_diagnostics(self):
         requests = _requests([50e3, 120e3, 300e3])
         BatchExecutor(cache=None, lanes=4).map(requests)
-        counters = diagnostics().lane_counters
+        counters = diagnostics().group("lane")
         assert counters.get("lanes_launched", 0) >= 3
+
+    def test_sparse_groups_and_sparse_transients_count_apart(self):
+        """One 2-op sparse array group is 1 sparse group (engine stats)
+        and 2 sparse lane transients (registry), under two names."""
+        from repro.spice.backends import scipy_available, set_backend_default
+        if not scipy_available():
+            pytest.skip("scipy required for sparse lanes")
+        requests = [SequenceRequest.build(
+            "r r", 2.4, backend="electrical",
+            defect=DefectSite("open_sn", 5, r), stress=NOMINAL_STRESS,
+            geometry=(4, 4), trim="off") for r in (1e5, 3e5)]
+        executor_mod._PROCESS_MODELS.clear()
+        prev = set_backend_default("sparse")
+        try:
+            engine = BatchExecutor(cache=None, lanes=4)
+            engine.map(requests)
+        finally:
+            set_backend_default(prev)
+            executor_mod._PROCESS_MODELS.clear()
+        assert engine.stats.lane_groups == 1
+        assert engine.stats.lane_sparse_groups == 1
+        lanes = diagnostics().group("lane")
+        assert lanes["lane_sparse_transients"] == 2
+        assert "lane_sparse_groups" not in lanes
 
     def test_single_miss_stays_serial(self):
         """One laneable request is not worth a lane group."""
         requests = _requests([50e3])
         BatchExecutor(cache=None, lanes=4).map(requests)
-        assert diagnostics().lane_counters == {}
+        assert diagnostics().group("lane") == {}
 
     def test_behavioral_requests_never_lane(self):
         requests = _requests([50e3, 120e3, 300e3], backend="behavioral")
         results = BatchExecutor(cache=None, lanes=4).map(requests)
-        assert diagnostics().lane_counters == {}
+        assert diagnostics().group("lane") == {}
         assert all(r is not None for r in results)
 
     def test_results_feed_the_cache(self):
@@ -98,4 +123,4 @@ class TestLaneGroupSafety:
         requests = _requests([50e3, 120e3, 300e3])
         engine.map(requests)
         assert len(seen) == 3
-        assert diagnostics().lane_counters == {}
+        assert diagnostics().group("lane") == {}

@@ -75,7 +75,7 @@ class TestSparseParity:
         _, system = _activation_setup()
         sparse = SparseLaneSystem(system, RESISTANCES, DEFECT_DEVICE)
         res = _run_lanes(sparse, system)
-        assert res.counters["lane_sparse_groups"] == 1
+        assert res.counters["lane_sparse_transients"] == 1
         # Every lane factors at least once (the initial chord matrix).
         assert res.counters["lane_symbolic_reuse"] >= len(RESISTANCES)
         # Drained into the batch counters, not left on the system.

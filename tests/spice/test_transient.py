@@ -264,32 +264,6 @@ class TestKernelParity:
         assert len(fast) > 6  # bisection actually added time points
         _compare(fast, legacy, bitwise=True)
 
-    def test_modified_newton_converges_to_same_waveform(self):
-        kw = dict(tstop=12e-9, dt=0.1e-9,
-                  initial={"o": 2.4, "vdd": 2.4})
-        full = transient(_inverter(), use_kernels=True, **kw)
-        modified = transient(_inverter(), use_kernels=True,
-                             newton="modified", **kw)
-        # Same grid; iterates agree to the Newton voltage tolerance
-        # (modified Newton stops at the same vtol, not the same bits).
-        assert np.array_equal(full.time, modified.time)
-        for name in full.node_names:
-            assert full.v(name) == pytest.approx(modified.v(name),
-                                                 abs=1e-5), name
-
-    def test_modified_newton_reuses_jacobians(self):
-        from repro.diagnostics import reset_diagnostics
-        diag = reset_diagnostics()
-        # Cover the input transition so steps take multiple iterations.
-        transient(_inverter(), tstop=6e-9, dt=0.1e-9,
-                  use_kernels=True, newton="modified",
-                  initial={"o": 2.4, "vdd": 2.4})
-        assert diag.solver_kernels.get("newton_jacobian_reuse", 0) > 0
-
-    def test_rejects_unknown_newton_mode(self):
-        with pytest.raises(SpiceError):
-            transient(_rc(), 1e-6, 1e-9, newton="chord")
-
     def test_kernel_default_toggle_roundtrip(self):
         from repro.spice.transient import (kernels_enabled,
                                            set_kernels_default)

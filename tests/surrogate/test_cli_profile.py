@@ -1,10 +1,10 @@
-"""--profile observability: surrogate counters reach the CLI report."""
+"""CLI observability: surrogate counters reach the report exactly once."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.diagnostics import diagnostics, reset_diagnostics
+from repro.diagnostics import reset_diagnostics
 
 
 @pytest.fixture(autouse=True)
@@ -14,15 +14,25 @@ def _fresh_diagnostics():
     reset_diagnostics()
 
 
-def test_profile_block_prints_surrogate_counters(capsys):
+def test_surrogate_counts_print_once_under_profile_and_verbose(capsys):
+    """The engine stats are the surrogate counters' one store: the
+    ``--verbose`` line prints them and ``--profile`` adds no copy."""
     from repro.__main__ import _report_engine
+    from repro.engine import default_engine
 
-    diagnostics().record_surrogate_counters({"surrogate_hits": 3})
-    diagnostics().record_surrogate_counters({"surrogate_hits": 2,
-                                             "surrogate_refits": 1})
-    _report_engine(SimpleNamespace(verbose=False, profile=True))
-    err = capsys.readouterr().err
-    assert "surrogate tier: surrogate_hits x5, surrogate_refits x1" in err
+    stats = default_engine().stats
+    before = stats.snapshot()
+    stats.surrogate_hits += 5
+    stats.surrogate_refits += 1
+    try:
+        _report_engine(SimpleNamespace(verbose=True, profile=True))
+        err = capsys.readouterr().err
+        assert err.count(f"surrogate: {stats.surrogate_hits} served") == 1
+        assert "surrogate tier:" not in err
+        assert "surrogate_hits" not in err
+    finally:
+        stats.surrogate_hits = before.surrogate_hits
+        stats.surrogate_refits = before.surrogate_refits
 
 
 def test_profile_block_is_silent_without_surrogate_activity(capsys):

@@ -118,6 +118,25 @@ class TestProfileFlag:
         assert "solver kernels:" in captured.err
         assert "plan_iteration_assembly" in captured.err
 
+    def test_eventful_profile_prints_each_counter_group_once(self, capsys):
+        """An eventful run's summary lists the counter groups; the
+        --profile block must not print them a second time."""
+        from types import SimpleNamespace
+
+        from repro.__main__ import _report_engine
+        from repro.diagnostics import reset_diagnostics
+        diag = reset_diagnostics()
+        try:
+            diag.count_all({"plan_iteration_assembly": 3}, "kernel")
+            diag.record_rescue("gmin")
+            _report_engine(SimpleNamespace(verbose=False, profile=True))
+            err = capsys.readouterr().err
+            assert "profile summary" in err
+            assert err.count("solver kernels:") == 1
+            assert "solver kernels: plan_iteration_assembly x3" in err
+        finally:
+            reset_diagnostics()
+
 
 class TestArrayCommand:
     @pytest.fixture(autouse=True)
