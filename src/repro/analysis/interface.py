@@ -5,7 +5,7 @@ Two implementations exist:
 * the *electrical* model — :class:`repro.dram.runner.ColumnRunner` driving
   the SPICE-level column (ground truth, slower),
 * the *behavioral* model — :class:`repro.behav.model.BehavioralColumn`
-  (closed-form per-phase integration, ~100× faster; used for wide sweeps,
+  (fixed-step per-phase integration, far faster; used for wide sweeps,
   Shmoo grids and march-test evaluation).
 
 Analysis and optimization code accepts anything satisfying

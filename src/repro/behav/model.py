@@ -2,11 +2,16 @@
 
 Each operation cycle is split at the control-signal corners defined by
 :mod:`repro.dram.timing` and integrated segment-by-segment with fixed
-sub-steps (midpoint rule).  Within a segment the bit line is either held
-by the precharge/write driver (a boundary condition) or co-integrated with
-the cell during charge sharing.  The access transistor uses the *same*
-level-1 equations as the electrical model (:func:`mosfet_curves`), so both
-models share one technology description.
+sub-steps: the storage node by forward Euler (``vc += i * dt / cs``), the
+gate of a word-line open (O2) by the exact exponential update of its RC.
+Within a segment the bit line is either held by the precharge/write
+driver (a boundary condition) or co-integrated with the cell during
+charge sharing.  The access transistor uses the *same* level-1 equations
+as the electrical model (:func:`~repro.spice.mosfet.mosfet_ids`, the
+drain current of :func:`~repro.spice.mosfet.mosfet_curves`), so both
+models share one technology description.  The device, leakage and defect
+constants are resolved once per cycle from the staged stress and defect
+(:class:`_CycleConstants`), so the sub-step loops run over locals.
 
 Approximations (validated against the electrical model in the tests):
 
@@ -22,6 +27,7 @@ Approximations (validated against the electrical model in the tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.stress import NOMINAL_STRESS, StressConditions
@@ -30,7 +36,8 @@ from repro.dram.column import DefectSite
 from repro.dram.ops import Op, Operation, OpResult, SequenceResult, parse_ops
 from repro.dram.tech import TechnologyParams, default_tech
 from repro.dram import timing
-from repro.spice.mosfet import mosfet_curves
+from repro.spice.devices import thermal_voltage
+from repro.spice.mosfet import mosfet_ids
 
 
 @dataclass
@@ -50,17 +57,53 @@ class BehavCalibration:
         return self.latch_delay * (t_k / 300.15) ** self.latch_texp
 
 
-class _Phase:
-    """One integration segment of a cycle."""
+class _CycleConstants:
+    """Device, leakage and defect constants of one cycle.
 
-    __slots__ = ("t0", "t1", "wl_high", "bl_mode", "bl_level")
+    Resolved from the column's staged technology, stress and defect at
+    the start of every cycle, so re-staging a reused column
+    (``set_stress`` / ``set_defect_resistance``) needs no invalidation.
+    """
 
-    def __init__(self, t0, t1, wl_high, bl_mode, bl_level=None):
-        self.t0 = t0
-        self.t1 = t1
-        self.wl_high = wl_high
-        self.bl_mode = bl_mode      # "held" or "share"
-        self.bl_level = bl_level    # for "held"
+    __slots__ = ("beta", "beta_dum", "nvt", "vth", "lam", "i_leak", "cs",
+                 "cbl", "vdd", "vpp", "series_r", "gate_tau", "shunt",
+                 "shunt_r")
+
+    def __init__(self, tech: TechnologyParams, stress: StressConditions,
+                 defect: DefectSite | None):
+        temp_c = stress.temp_c
+        acc = tech.access_params
+        # Temperature-resolved access devices (cell and dummy widths).
+        kp = acc.kp_at(temp_c)
+        self.beta = kp * (tech.access_w / tech.access_l)
+        self.beta_dum = kp * (tech.dummy_access_w / tech.access_l)
+        self.nvt = acc.n_ss * thermal_voltage(temp_c)
+        self.vth = acc.vth_at(temp_c)
+        self.lam = acc.lam
+        # Storage-node junction leakage (discharges a stored high).
+        self.i_leak = tech.leak_isat * 2.0 ** ((temp_c - tech.leak_tnom_c)
+                                               / tech.leak_tdouble)
+        self.cs, self.cbl = tech.cs, tech.cbl
+        self.vdd = stress.vdd
+        self.vpp = tech.vpp(stress.vdd)
+        kind = defect.kind if defect is not None else None
+        r = defect.resistance if defect is not None else 0.0
+        #: An open in series with the access device.
+        self.series_r = r if kind in ("open_bl", "open_sn") else 0.0
+        #: RC of a word-line open's gate node.
+        self.gate_tau = r * tech.cg_access if kind == "open_gate" else None
+        #: The net a short/bridge ties the storage node to.
+        self.shunt = kind if kind in ("short_gnd", "short_vdd", "bridge_bl",
+                                      "bridge_wl") else None
+        self.shunt_r = r
+
+    def shunt_node(self, v_bl: float, v_wl: float) -> float | None:
+        """Voltage of the shunt's far net (``None`` without a shunt)."""
+        shunt = self.shunt
+        if shunt is None:
+            return None
+        return {"short_gnd": 0.0, "short_vdd": self.vdd,
+                "bridge_bl": v_bl, "bridge_wl": v_wl}[shunt]
 
 
 class BehavioralColumn:
@@ -103,188 +146,153 @@ class BehavioralColumn:
         return self.target_cell % 2 == 0
 
     # ------------------------------------------------------------------
-    # device helpers
-    # ------------------------------------------------------------------
-    def _access_current(self, v_bl: float, v_cell: float, v_gate: float,
-                        series_r: float, temp_c: float) -> float:
-        """Current flowing bit line → cell through access + series open."""
-        tech = self.tech
-        w_over_l = tech.access_w / tech.access_l
-        dv = v_bl - v_cell
-        if dv == 0.0:
-            return 0.0
-        vs = min(v_bl, v_cell)
-        vgs = v_gate - vs
-        ids, _, _ = mosfet_curves(tech.access_params, w_over_l, vgs,
-                                  abs(dv), temp_c)
-        if ids <= 0.0:
-            return 0.0
-        # Series combination of the transistor (as its large-signal
-        # conductance) and the open resistance.
-        g_tx = ids / abs(dv)
-        g = g_tx if series_r <= 0 else g_tx / (1.0 + g_tx * series_r)
-        return g * dv
-
-    def _leak_current(self, v_cell: float, temp_c: float) -> float:
-        """Storage-node junction leakage (discharges a stored high)."""
-        if v_cell <= 0.0:
-            return 0.0
-        tech = self.tech
-        return tech.leak_isat * 2.0 ** ((temp_c - tech.leak_tnom_c)
-                                        / tech.leak_tdouble)
-
-    def _shunt_current(self, v_cell: float, v_bl: float,
-                       v_wl: float) -> float:
-        """Current *into* the cell node from a short/bridge defect."""
-        d = self.defect
-        if d is None:
-            return 0.0
-        r = d.resistance
-        kind = d.kind
-        if kind == "short_gnd":
-            return (0.0 - v_cell) / r
-        if kind == "short_vdd":
-            return (self.stress.vdd - v_cell) / r
-        if kind == "bridge_bl":
-            return (v_bl - v_cell) / r
-        if kind == "bridge_wl":
-            return (v_wl - v_cell) / r
-        return 0.0
-
-    def _series_resistance(self) -> float:
-        d = self.defect
-        if d is not None and d.kind in ("open_bl", "open_sn"):
-            return d.resistance
-        return 0.0
-
-    def _gate_tau(self) -> float | None:
-        d = self.defect
-        if d is not None and d.kind == "open_gate":
-            return d.resistance * self.tech.cg_access
-        return None
-
-    # ------------------------------------------------------------------
     # cycle phases
     # ------------------------------------------------------------------
-    def _phases_for(self, op: Op, plan_times: dict) -> list[_Phase]:
-        """Held-bit-line phases of a write cycle (reads and nops are
-        assembled inline in :meth:`_run_cycle` because the restore level
-        is only known mid-cycle)."""
-        t_wl_on = plan_times["t_wl_on"]
-        t_wl_off = plan_times["t_wl_off"]
+    def _phases_for(self, op: Op, t_wl_on: float, t_wl_off: float
+                    ) -> list[tuple[float, float, bool, float]]:
+        """Held-bit-line phases ``(t0, t1, wl_high, v_bl)`` of a write
+        cycle (reads and nops are assembled inline in :meth:`_run_cycle`
+        because the restore level is only known mid-cycle)."""
         tcyc = self.stress.tcyc
         vpre = self.tech.vbl_pre(self.stress.vdd)
 
         level = float(op.operation.write_value) * self.stress.vdd
         if not self.target_on_true:
             level = self.stress.vdd - level
-        t_we_on = plan_times["t_we_on"]
+        t_we_on = t_wl_on + timing.WEN_DELAY_FRAC * tcyc
         return [
-            _Phase(0.0, t_wl_on, False, "held", vpre),
-            _Phase(t_wl_on, t_we_on, True, "held", vpre),
-            _Phase(t_we_on, t_wl_off, True, "held", level),
-            _Phase(t_wl_off, tcyc, False, "held", level),
+            (0.0, t_wl_on, False, vpre),
+            (t_wl_on, t_we_on, True, vpre),
+            (t_we_on, t_wl_off, True, level),
+            (t_wl_off, tcyc, False, level),
         ]
 
     # ------------------------------------------------------------------
     # integration
     # ------------------------------------------------------------------
-    def _integrate_held(self, state: dict, phase: _Phase,
-                        temp_c: float) -> None:
-        """Cell dynamics with the bit line held at a fixed level."""
-        tech = self.tech
-        cs = tech.cs
-        series_r = self._series_resistance()
-        gate_tau = self._gate_tau()
-        vpp = tech.vpp(self.stress.vdd)
-        v_wl_target = vpp if phase.wl_high else 0.0
-        t = phase.t0
-        while t < phase.t1 - 1e-15:
-            dt = min(self.DT_SUB, phase.t1 - t)
-            vc = state["vc"]
+    def _integrate_held(self, k: _CycleConstants, state: dict,
+                        t0: float, t1: float, wl_high: bool,
+                        v_bl: float) -> None:
+        """Cell dynamics with the bit line held at ``v_bl``."""
+        dt_sub = self.DT_SUB
+        beta, nvt, vth, lam = k.beta, k.nvt, k.vth, k.lam
+        series_r, i_leak, cs = k.series_r, k.i_leak, k.cs
+        gate_tau, shunt_r = k.gate_tau, k.shunt_r
+        v_hi = k.vdd + 0.3
+        v_wl = k.vpp if wl_high else 0.0
+        v_shunt = k.shunt_node(v_bl, v_wl)
+        access = wl_high or gate_tau is not None
+        vc = state["vc"]
+        vg = state["vg"] if gate_tau is not None else v_wl
+        t, t_stop = t0, t1 - 1e-15
+        while t < t_stop:
+            dt = t1 - t
+            if dt > dt_sub:
+                dt = dt_sub
             if gate_tau is not None:
-                vg = state["vg"]
-                vg += (v_wl_target - vg) * (1.0 - _exp(-dt / gate_tau))
-                state["vg"] = vg
-            else:
-                vg = v_wl_target
-            i_acc = self._access_current(phase.bl_level, vc, vg, series_r,
-                                         temp_c) if phase.wl_high or \
-                gate_tau is not None else 0.0
-            i = (i_acc + self._shunt_current(vc, phase.bl_level,
-                                             v_wl_target)
-                 - self._leak_current(vc, temp_c))
-            state["vc"] = _clip(vc + i * dt / cs, -0.2,
-                                self.stress.vdd + 0.3)
+                x = -dt / gate_tau
+                vg += (v_wl - vg) * (1.0 - (math.exp(x) if x > -60.0
+                                            else 0.0))
+            i_acc = 0.0
+            if access:
+                # bit line -> cell: the access device's large-signal
+                # conductance in series with any open
+                dv = v_bl - vc
+                if dv != 0.0:
+                    vds = abs(dv)
+                    ids = mosfet_ids(beta, nvt, vth, lam,
+                                     vg - (vc if vc < v_bl else v_bl), vds)
+                    if not ids <= 0.0:  # a NaN current propagates
+                        g = ids / vds
+                        i_acc = (g if series_r <= 0
+                                 else g / (1.0 + g * series_r)) * dv
+            i_shunt = 0.0 if v_shunt is None else (v_shunt - vc) / shunt_r
+            i = i_acc + i_shunt - (0.0 if vc <= 0.0 else i_leak)
+            vc = vc + i * dt / cs
+            vc = -0.2 if vc < -0.2 else v_hi if vc > v_hi else vc
             t += dt
+        state["vc"] = vc
+        if gate_tau is not None:
+            state["vg"] = vg
 
-    def _integrate_share(self, state: dict, t0: float, t1: float,
-                         temp_c: float) -> None:
+    def _integrate_share(self, k: _CycleConstants, state: dict,
+                         t0: float, t1: float) -> None:
         """Charge sharing: cell and bit line co-integrate; dummy too."""
-        tech = self.tech
-        cs, cbl = tech.cs, tech.cbl
-        series_r = self._series_resistance()
-        gate_tau = self._gate_tau()
-        vpp = tech.vpp(self.stress.vdd)
-        w_over_l_d = tech.dummy_access_w / tech.access_l
-        t = t0
-        while t < t1 - 1e-15:
-            dt = min(self.DT_SUB, t1 - t)
-            vc, vbl = state["vc"], state["vbl"]
-            vdum, vblr = state["vdum"], state["vblr"]
+        dt_sub = self.DT_SUB
+        beta, beta_dum = k.beta, k.beta_dum
+        nvt, vth, lam = k.nvt, k.vth, k.lam
+        series_r, i_leak, cs, cbl = k.series_r, k.i_leak, k.cs, k.cbl
+        gate_tau, shunt_r, vpp = k.gate_tau, k.shunt_r, k.vpp
+        vc, vbl = state["vc"], state["vbl"]
+        vdum, vblr = state["vdum"], state["vblr"]
+        v_shunt = k.shunt_node(vbl, vpp)
+        shunt_bl = k.shunt == "bridge_bl"
+        vg = state["vg"] if gate_tau is not None else vpp
+        t, t_stop = t0, t1 - 1e-15
+        while t < t_stop:
+            dt = t1 - t
+            if dt > dt_sub:
+                dt = dt_sub
             if gate_tau is not None:
-                vg = state["vg"]
-                vg += (vpp - vg) * (1.0 - _exp(-dt / gate_tau))
-                state["vg"] = vg
-            else:
-                vg = vpp
-            i_cell = self._access_current(vbl, vc, vg, series_r, temp_c)
-            i_shunt = self._shunt_current(vc, vbl, vpp)
-            i_leak = self._leak_current(vc, temp_c)
-            # Dummy path (no defect, its own width).
+                x = -dt / gate_tau
+                vg += (vpp - vg) * (1.0 - (math.exp(x) if x > -60.0
+                                           else 0.0))
+            # bit line -> cell: the access device's large-signal
+            # conductance in series with any open
+            i_cell = 0.0
+            dv = vbl - vc
+            if dv != 0.0:
+                vds = abs(dv)
+                ids = mosfet_ids(beta, nvt, vth, lam,
+                                 vg - (vc if vc < vbl else vbl), vds)
+                if not ids <= 0.0:  # a NaN current propagates
+                    g = ids / vds
+                    i_cell = (g if series_r <= 0
+                              else g / (1.0 + g * series_r)) * dv
+            if shunt_bl:  # a bit-line bridge follows the developing line
+                v_shunt = vbl
+            i_shunt = 0.0 if v_shunt is None else (v_shunt - vc) / shunt_r
+            # Dummy path (no defect, its own width, gate at vpp).
+            i_dum = 0.0
             dvd = vblr - vdum
             if dvd != 0.0:
-                vs = min(vblr, vdum)
-                idum, _, _ = mosfet_curves(tech.access_params, w_over_l_d,
-                                           vpp - vs, abs(dvd), temp_c)
-                i_dum = (idum / abs(dvd)) * dvd if idum > 0 else 0.0
-            else:
-                i_dum = 0.0
-            state["vc"] = vc + (i_cell + i_shunt - i_leak) * dt / cs
-            state["vbl"] = vbl - i_cell * dt / cbl
-            state["vdum"] = vdum + i_dum * dt / cs
-            state["vblr"] = vblr - i_dum * dt / cbl
+                vds = abs(dvd)
+                idum = mosfet_ids(beta_dum, nvt, vth, lam,
+                                  vpp - (vdum if vdum < vblr else vblr), vds)
+                if idum > 0:
+                    i_dum = (idum / vds) * dvd
+            vc = vc + (i_cell + i_shunt
+                       - (0.0 if vc <= 0.0 else i_leak)) * dt / cs
+            vbl = vbl - i_cell * dt / cbl
+            vdum = vdum + i_dum * dt / cs
+            vblr = vblr - i_dum * dt / cbl
             t += dt
+        state["vc"], state["vbl"] = vc, vbl
+        state["vdum"], state["vblr"] = vdum, vblr
+        if gate_tau is not None:
+            state["vg"] = vg
 
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
     def _run_cycle(self, op: Op, state: dict) -> OpResult:
         stress, tech = self.stress, self.tech
+        k = _CycleConstants(tech, stress, self.defect)
         temp_c = stress.temp_c
         tcyc = stress.tcyc
-        t_eq_off = timing.EQ_OFF_FRAC * tcyc
         t_wl_on, t_wl_off = timing.wordline_window(stress)
-        plan_times = {
-            "t_eq_off": t_eq_off,
-            "t_wl_on": t_wl_on,
-            "t_wl_off": t_wl_off,
-            "t_we_on": t_wl_on + timing.WEN_DELAY_FRAC * tcyc,
-        }
 
         sensed = None
         if op.operation is Operation.NOP:
             vpre = tech.vbl_pre(stress.vdd)
-            self._integrate_held(
-                state, _Phase(0.0, tcyc, False, "held", vpre), temp_c)
+            self._integrate_held(k, state, 0.0, tcyc, False, vpre)
         elif op.operation.is_write:
-            for phase in self._phases_for(op, plan_times):
-                self._integrate_held(state, phase, temp_c)
+            for phase in self._phases_for(op, t_wl_on, t_wl_off):
+                self._integrate_held(k, state, *phase)
         else:
             vpre = tech.vbl_pre(stress.vdd)
             # idle + precharge
-            self._integrate_held(
-                state, _Phase(0.0, t_wl_on, False, "held", vpre), temp_c)
+            self._integrate_held(k, state, 0.0, t_wl_on, False, vpre)
             # charge share until the (race-delayed) decision instant
             t_sense = t_wl_on + timing.SHARE_FRAC * tcyc
             t_dec = min(t_sense + self.calibration.delay_at(temp_c),
@@ -292,16 +300,14 @@ class BehavioralColumn:
             state["vbl"] = vpre
             state["vblr"] = vpre
             state["vdum"] = tech.v_ref(stress.vdd, temp_c)
-            self._integrate_share(state, t_wl_on, t_dec, temp_c)
+            self._integrate_share(k, state, t_wl_on, t_dec)
             stored_one = state["vbl"] > state["vblr"]
             sensed = (1 if stored_one else 0) if self.target_on_true \
                 else (0 if stored_one else 1)
             # restore: the SA drives the bit line to the winning rail
             rail = stress.vdd if stored_one else 0.0
-            self._integrate_held(
-                state, _Phase(t_dec, t_wl_off, True, "held", rail), temp_c)
-            self._integrate_held(
-                state, _Phase(t_wl_off, tcyc, False, "held", rail), temp_c)
+            self._integrate_held(k, state, t_dec, t_wl_off, True, rail)
+            self._integrate_held(k, state, t_wl_off, tcyc, False, rail)
 
         return OpResult(op=op, vc_end=state["vc"], sensed=sensed)
 
@@ -310,7 +316,7 @@ class BehavioralColumn:
         """Interface parity with the electrical runner."""
         state = {"vc": float(vc_target), "vbl": 0.0, "vblr": 0.0,
                  "vdum": 0.0}
-        if self._gate_tau() is not None:
+        if self.defect is not None and self.defect.kind == "open_gate":
             state["vg"] = 0.0
         return state
 
@@ -331,15 +337,6 @@ class BehavioralColumn:
             result, state = self.run_op(op, state)
             results.append(result)
         return SequenceResult(ops=ops, results=results)
-
-
-def _exp(x: float) -> float:
-    import math
-    return math.exp(x) if x > -60.0 else 0.0
-
-
-def _clip(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
 
 
 def behavioral_model(defect: Defect | None = None,

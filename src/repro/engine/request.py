@@ -55,9 +55,27 @@ def _canonical(value):
     return value
 
 
+#: ``id(tech) -> (tech, _canonical(tech))`` for the few technology objects
+#: a process hashes requests for.  Keyed on identity, not equality: equal
+#: techs can render differently (``0.0 == -0.0``, but their ``repr``s
+#: differ).  Each entry holds its tech, so the id cannot be reused while
+#: the entry lives.
+_TECH_CANONICAL: dict[int, tuple[TechnologyParams, dict]] = {}
+
+
+def _canonical_tech(tech: TechnologyParams) -> dict:
+    """:func:`_canonical` of ``tech``, computed once per tech object."""
+    hit = _TECH_CANONICAL.get(id(tech))
+    if hit is None:
+        if len(_TECH_CANONICAL) >= 8:
+            _TECH_CANONICAL.clear()
+        hit = _TECH_CANONICAL[id(tech)] = (tech, _canonical(tech))
+    return hit[1]
+
+
 def tech_fingerprint(tech: TechnologyParams) -> str:
     """Deterministic short hash of a full technology parameter set."""
-    payload = json.dumps(_canonical(tech), sort_keys=True,
+    payload = json.dumps(_canonical_tech(tech), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -191,7 +209,7 @@ class SequenceRequest:
         payload = {
             "schema": SCHEMA_VERSION,
             "backend": self.backend,
-            "tech": _canonical(self.tech),
+            "tech": _canonical_tech(self.tech),
             "defect_kind": self.defect_kind,
             "cell": self.cell,
             "resistance": _canonical(self.resistance)

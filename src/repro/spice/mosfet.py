@@ -122,8 +122,9 @@ def mosfet_curves(params: MosfetParams, w_over_l: float, vgs: float,
     """Level-1 characteristics ``(ids, gm, gds)`` in the NMOS frame.
 
     Requires ``vds >= 0`` (the caller handles source/drain swapping and
-    PMOS mirroring).  Shared by the :class:`Mosfet` device and the fast
-    behavioral column model, so both use *identical* device physics.
+    PMOS mirroring).  The :class:`Mosfet` device evaluates it and the fast
+    behavioral column model takes the same drain current from
+    :func:`mosfet_ids`, so both use *identical* device physics.
     """
     beta = params.kp_at(temp_c) * w_over_l
     nvt = params.n_ss * thermal_voltage(temp_c)
@@ -143,6 +144,23 @@ def mosfet_curves(params: MosfetParams, w_over_l: float, vgs: float,
         gm = beta * veff * clm * dveff
         gds = half_beta_veff2 * params.lam
     return ids, gm, gds
+
+
+def mosfet_ids(beta: float, nvt: float, vth: float, lam: float,
+               vgs: float, vds: float) -> float:
+    """Drain current of :func:`mosfet_curves` alone, from resolved parameters.
+
+    ``beta``/``nvt``/``vth``/``lam`` are the temperature-resolved device
+    parameters of :func:`mosfet_curves_vec`.  Same operations in the same
+    order as :func:`mosfet_curves`, so the result is bitwise its ``ids``;
+    a caller that evaluates one device many times at one temperature
+    resolves the parameters once instead of per call.
+    """
+    veff = nvt * _softplus((vgs - vth) / nvt)
+    clm = 1.0 + lam * vds
+    if vds < veff:  # triode
+        return beta * (veff - 0.5 * vds) * vds * clm
+    return 0.5 * beta * veff * veff * clm
 
 
 def _softplus_each(u: np.ndarray) -> np.ndarray:

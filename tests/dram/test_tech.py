@@ -56,6 +56,20 @@ class TestDerivedDevices:
         assert tech.sa_nmos.mu_exp > tech.nmos.mu_exp
         assert tech.sa_pmos.mu_exp > tech.pmos.mu_exp
 
+    def test_derived_devices_built_once_per_tech(self):
+        tech = TechnologyParams()
+        assert tech.access_params is tech.access_params
+        assert tech.sa_nmos is tech.sa_nmos
+        assert tech.sa_pmos is tech.sa_pmos
+        # A modified copy derives its own devices, not its parent's.
+        other = tech.with_(access_vth0=0.7, sa_mu_exp_n=-0.8)
+        assert other.access_params.vth0 == 0.7
+        assert other.sa_nmos.mu_exp == -0.8
+        assert tech.access_params.vth0 == tech.access_vth0
+        # The cached devices take no part in equality or hashing.
+        fresh = tech.with_(access_vth0=0.7, sa_mu_exp_n=-0.8)
+        assert other == fresh and hash(other) == hash(fresh)
+
     def test_with_returns_modified_copy(self):
         tech = default_tech()
         other = tech.with_(cs=99e-15)

@@ -56,6 +56,19 @@ class TestContentHash:
         hashes = {base.content_hash} | {v.content_hash for v in variants}
         assert len(hashes) == len(variants) + 1
 
+    def test_equal_but_distinct_techs_keep_their_own_hash(self):
+        """The tech's canonical form is cached per object, not per value:
+        ``0.0 == -0.0``, so these techs compare equal, but they render
+        differently and must hash as they would uncached."""
+        minus = default_tech().with_(v_ref_tc=-0.0)
+        cold = _request(tech=minus).content_hash
+        plus = default_tech().with_(v_ref_tc=0.0)
+        assert plus == minus
+        assert _request(tech=plus).content_hash != cold
+        assert tech_fingerprint(plus) != tech_fingerprint(minus)
+        again = default_tech().with_(v_ref_tc=-0.0)
+        assert _request(tech=again).content_hash == cold
+
     def test_ops_spelling_is_canonicalised(self):
         """Equivalent sequence spellings address the same result."""
         expanded = _request(ops="w1 w1 w0 r0")

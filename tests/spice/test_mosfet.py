@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.spice.errors import NetlistError
 from repro.spice.mosfet import (
@@ -12,8 +12,11 @@ from repro.spice.mosfet import (
     NMOS_DEFAULT,
     PMOS_DEFAULT,
     mosfet_curves,
+    mosfet_ids,
 )
+from repro.spice.devices import thermal_voltage
 from repro.spice.netlist import Circuit
+from repro.dram.tech import default_tech
 
 
 def _nmos(w=1e-6, l=0.25e-6, params=NMOS_DEFAULT):
@@ -167,3 +170,30 @@ class TestGeometryValidation:
     def test_monotone_in_vgs(self, vgs_base, dv):
         m = _nmos()
         assert m.ids(vgs_base + dv, 1.0) >= m.ids(vgs_base, 1.0)
+
+
+class TestDrainCurrentOnly:
+    """:func:`mosfet_ids` is bitwise the ``ids`` of :func:`mosfet_curves`."""
+
+    _TECH = default_tech()
+
+    @given(params=st.sampled_from([_TECH.access_params, _TECH.nmos,
+                                   _TECH.pmos]),
+           w_over_l=st.floats(0.01, 20.0),
+           vgs=st.floats(-5.0, 5.0), vds=st.floats(0.0, 5.0),
+           temp_c=st.floats(-40.0, 150.0))
+    @example(params=_TECH.access_params, w_over_l=0.0583, vgs=5.0,
+             vds=0.1, temp_c=27.0)        # triode, softplus clamp u > 60
+    @example(params=_TECH.access_params, w_over_l=0.0583, vgs=-5.0,
+             vds=1.0, temp_c=27.0)        # clamp u < -60: no current
+    @example(params=_TECH.nmos, w_over_l=4.0, vgs=0.8, vds=2.5,
+             temp_c=-40.0)                # saturation, softplus core
+    @example(params=_TECH.pmos, w_over_l=8.0, vgs=0.4, vds=0.0,
+             temp_c=150.0)                # near threshold, vds = 0
+    def test_equals_mosfet_curves_ids(self, params, w_over_l, vgs, vds,
+                                      temp_c):
+        want = mosfet_curves(params, w_over_l, vgs, vds, temp_c)[0]
+        got = mosfet_ids(params.kp_at(temp_c) * w_over_l,
+                         params.n_ss * thermal_voltage(temp_c),
+                         params.vth_at(temp_c), params.lam, vgs, vds)
+        assert got.hex() == want.hex()
