@@ -1,14 +1,13 @@
-"""Result-store benchmark: sharded integrity-checked store vs a flat dir.
+"""Result-store benchmark: append-only segment store vs a flat dir.
 
 Measures what the durability layer costs and what resume buys, and
-writes the numbers to ``reports/store.txt`` (repo root, the acceptance
-artifact) and ``reports/store.txt`` plus a machine-readable
-``BENCH_store.json``:
+writes the numbers to ``reports/store.txt`` (the acceptance artifact)
+plus a machine-readable ``BENCH_store.json``:
 
-* put/get throughput over 10k entries through the sharded store
-  (header + sha256 verify + atomic replace, fsync on and off) against a
-  flat-directory pickle baseline — the disk tier the sharded store
-  replaced;
+* put/get throughput over 10k entries through the segment store (one
+  framed append per put with its sha256, fsync on and off; every get
+  re-reads and verifies its frame) against a flat-directory pickle
+  baseline — the unverified, non-atomic disk tier of the seed;
 * resume overhead: a checkpointed behavioral sweep run cold, then
   resumed from its own journal — the resumed run replays every result
   from the store instead of simulating, and the ratio of the two wall
@@ -139,7 +138,7 @@ def run_benchmark(quick: bool = False) -> dict:
     keys = _keys(n)
 
     flat = _throughput(FlatStore, keys)
-    sharded = _throughput(
+    segments = _throughput(
         lambda root: ShardedStore(root, fsync=True), keys)
     nofsync = _throughput(
         lambda root: ShardedStore(root, fsync=False), keys)
@@ -151,20 +150,20 @@ def run_benchmark(quick: bool = False) -> dict:
         "quick": quick,
         "entries": n,
         "flat": flat,
-        "sharded": sharded,
-        "sharded_nofsync": nofsync,
-        "put_cost_vs_flat": flat["put_per_s"] / sharded["put_per_s"],
-        "get_cost_vs_flat": flat["get_per_s"] / sharded["get_per_s"],
+        "segments": segments,
+        "segments_nofsync": nofsync,
+        "put_cost_vs_flat": flat["put_per_s"] / segments["put_per_s"],
+        "get_cost_vs_flat": flat["get_per_s"] / segments["get_per_s"],
         "sweep_points": points,
         "resume": resume,
         "all_verified": (flat["verified"] == n
-                         and sharded["verified"] == n
+                         and segments["verified"] == n
                          and nofsync["verified"] == n),
     }
 
 
 def _row(name: str, t: dict, n: int) -> str:
-    return (f"  {name:27s}: put {t['put_per_s']:8.0f}/s "
+    return (f"  {name:28s}: put {t['put_per_s']:8.0f}/s "
             f"({t['put_s'] * 1e3:7.1f} ms)   get {t['get_per_s']:8.0f}/s "
             f"({t['get_s'] * 1e3:7.1f} ms)   {t['verified']}/{n} verified")
 
@@ -180,18 +179,18 @@ def render(res: dict) -> str:
         "",
         f"put/get throughput, {n} entries, fresh store each",
         _row("flat dir (old tier)", res["flat"], n),
-        _row("sharded + verify (fsync)", res["sharded"], n),
-        _row("sharded + verify (no fsync)", res["sharded_nofsync"], n),
-        f"  durability cost            : put {res['put_cost_vs_flat']:.2f}x"
+        _row("segments + verify (fsync)", res["segments"], n),
+        _row("segments + verify (no fsync)", res["segments_nofsync"], n),
+        f"  durability cost             : put {res['put_cost_vs_flat']:.2f}x"
         f"   get {res['get_cost_vs_flat']:.2f}x   vs the flat baseline",
         "",
         f"resume overhead, {res['sweep_points']}-point checkpointed "
         f"behavioral sweep",
-        f"  cold sweep                 : {resume['cold_s'] * 1e3:8.1f} ms",
-        f"  resumed (journal replay)   : {resume['resume_s'] * 1e3:8.1f} ms"
+        f"  cold sweep                  : {resume['cold_s'] * 1e3:8.1f} ms",
+        f"  resumed (journal replay)    : {resume['resume_s'] * 1e3:8.1f} ms"
         f"   ({resume['recovered']} results recovered from the store)",
-        f"  resume/cold ratio          : {resume['ratio']:8.2f}",
-        f"  resumed results identical  : "
+        f"  resume/cold ratio           : {resume['ratio']:8.2f}",
+        f"  resumed results identical   : "
         f"{'yes' if resume['identical'] else 'NO'}",
     ])
 

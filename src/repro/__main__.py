@@ -41,8 +41,8 @@ A per-run failure/rescue/retry summary is printed to stderr whenever
 anything eventful happened (clean runs print nothing extra).
 
 Durability flags (same commands): ``--checkpoint DIR`` journals every
-completed simulation to ``DIR`` and keeps the results in a sharded,
-integrity-checked store there; ``--resume`` restarts an interrupted
+completed simulation to ``DIR`` and keeps the results in an
+append-only, integrity-checked store there; ``--resume`` restarts an interrupted
 checkpointed run, recovering journaled work from the store instead of
 re-simulating it (the skip counts appear in the stderr diagnostics;
 stdout is byte-identical to an uninterrupted run).
@@ -225,8 +225,8 @@ def _add_engine_options(p: argparse.ArgumentParser) -> None:
                    help="disable the content-addressed result cache")
     p.add_argument("--checkpoint", metavar="DIR", default=None,
                    help="make the run durable: journal every completed "
-                        "simulation to DIR and keep results in a "
-                        "sharded integrity-checked store there")
+                        "simulation to DIR and keep results in an "
+                        "integrity-checked store there")
     p.add_argument("--resume", action="store_true",
                    help="recover a prior interrupted run from the "
                         "--checkpoint directory, skipping journaled "

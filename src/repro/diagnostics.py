@@ -116,7 +116,7 @@ class RunDiagnostics:
     worker_crashes: int = 0
     cache_evictions: int = 0
     cache_quarantined: int = 0
-    cache_tmp_reclaimed: int = 0
+    cache_skipped: int = 0
     journal_recovered: int = 0
     journal_holes: int = 0
     journal_missing: int = 0
@@ -193,20 +193,21 @@ class RunDiagnostics:
 
     def record_cache_quarantine(self, path: str = "",
                                 reason: str = "") -> None:
-        """One store entry that failed integrity verification and was
-        moved into the store's ``corrupt/`` directory."""
+        """One store record that failed integrity verification; a copy
+        went to the store's ``corrupt/`` directory."""
         self.cache_quarantined += 1
         get_logger("diagnostics").warning(
             "quarantined store entry%s%s",
             f" {path}" if path else "",
             f" ({reason})" if reason else "")
 
-    def record_tmp_reclaimed(self, count: int = 1) -> None:
-        """Orphaned ``*.tmp`` files swept at store construction —
-        leftovers of a crash mid-write."""
-        self.cache_tmp_reclaimed += count
-        get_logger("diagnostics").info(
-            "reclaimed %d orphaned cache temp file(s)", count)
+    def record_store_skip(self, path: str = "", nbytes: int = 0) -> None:
+        """One garbled span of a store segment skipped while indexing;
+        a copy of its bytes went to the store's ``corrupt/``."""
+        self.cache_skipped += 1
+        get_logger("diagnostics").warning(
+            "skipped %d garbled store bytes%s", nbytes,
+            f" ({path})" if path else "")
 
     def record_journal_recovery(self, count: int = 1) -> None:
         """Completed work skipped on resume (journaled + in the store)."""
@@ -234,7 +235,7 @@ class RunDiagnostics:
         """Did anything noteworthy happen this run?"""
         return bool(self.failures or self.rescues or self.retries
                     or self.worker_crashes or self.cache_evictions
-                    or self.cache_quarantined or self.cache_tmp_reclaimed
+                    or self.cache_quarantined or self.cache_skipped
                     or self.journal_recovered or self.journal_holes
                     or self.journal_missing)
 
@@ -256,9 +257,9 @@ class RunDiagnostics:
         if self.cache_quarantined:
             lines.append(f"  store entries quarantined: "
                          f"{self.cache_quarantined}")
-        if self.cache_tmp_reclaimed:
-            lines.append(f"  orphaned cache temp files reclaimed: "
-                         f"{self.cache_tmp_reclaimed}")
+        if self.cache_skipped:
+            lines.append(f"  garbled store spans skipped: "
+                         f"{self.cache_skipped}")
         if self.journal_recovered or self.journal_holes \
                 or self.journal_missing:
             lines.append(f"  journal: {self.journal_recovered} results "
@@ -343,18 +344,34 @@ def fold(into, other, sign: int = 1) -> None:
             setattr(into, f.name, mine + sign * theirs)
 
 
+#: Attribute a worker's registry rides on when its item raises.
+_REGISTRY_ATTR = "_repro_registry"
+
+
 def run_counted(fn, item):
     """Pool-worker side of the counter merge: ``fn(item)`` counted on a
-    fresh registry, returned with it as ``(outcome, registry)``."""
+    fresh registry, returned with it as ``(outcome, registry)``.  When
+    the item raises, the registry rides back on the exception."""
     timing = diagnostics().timing
     registry = reset_diagnostics()
     registry.timing = timing
-    return fn(item), registry
+    try:
+        return fn(item), registry
+    except Exception as exc:
+        setattr(exc, _REGISTRY_ATTR, registry)
+        raise
 
 
-def merge_counted(counted):
-    """Parent side of :func:`run_counted`: fold the worker's registry
-    into this run's and return the worker's outcome."""
-    outcome, registry = counted
+def merge_counted(future, timeout: float | None = None):
+    """Parent side of :func:`run_counted`: the worker's outcome from
+    ``future``, with its registry folded into this run's — also when
+    the item raised, before the exception propagates."""
+    try:
+        outcome, registry = future.result(timeout)
+    except Exception as exc:
+        registry = vars(exc).pop(_REGISTRY_ATTR, None)
+        if registry is not None:
+            fold(diagnostics(), registry)
+        raise
     fold(diagnostics(), registry)
     return outcome

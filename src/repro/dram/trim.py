@@ -41,7 +41,7 @@ Policy
 plan actually prunes cells.  The process-wide default
 (:func:`set_trim_default`, CLI ``--trim``) feeds :class:`~repro.engine.request.SequenceRequest`
 construction; the policy is part of the request's content hash, so
-trimmed and full results can never collide in the cache or the sharded
+trimmed and full results can never collide in the cache or the durable
 store.
 """
 

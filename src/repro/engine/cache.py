@@ -7,17 +7,17 @@ hash.  Two tiers:
 * an in-memory LRU (bounded by ``max_entries``) — the working set of a
   sweep session;
 * an optional on-disk tier backed by a
-  :class:`~repro.store.sharded.ShardedStore` (2-hex-prefix sharded,
-  integrity-checked, crash-safe) — survives the process, so repeated
-  CLI invocations, checkpointed sweeps and separate analysis passes
-  share simulation work.
+  :class:`~repro.store.sharded.ShardedStore` (append-only segments,
+  sha256-verified frames, one fsync'd append per result) — survives the
+  process, so repeated CLI invocations, checkpointed sweeps and
+  separate analysis passes share simulation work.
 
 Invalidation is structural: the request hash covers the backend, the
 full technology fingerprint and the stress combination, so changing any
 of them simply addresses a different entry.  The schema version baked
 into the hash retires every stale entry when simulation semantics
-change; the store's own format version retires entries written by an
-incompatible store layout (they are quarantined on read).
+change; the store's own format version retires records written by an
+incompatible frame layout (they are quarantined on read).
 
 Cached results are shared objects — callers must treat a returned
 :class:`SequenceResult` as immutable.
@@ -48,8 +48,8 @@ class EngineStats:
     ``hits`` is the total over both tiers; ``disk_hits`` the subset
     served by the on-disk store, so ``memory_hits`` is the difference.
     When the cache has a disk tier, ``store`` references its live
-    :class:`~repro.store.sharded.StoreStats` (eviction / quarantine /
-    reclaim counters); snapshots and deltas carry counters only.
+    :class:`~repro.store.sharded.StoreStats` (quarantine and
+    skipped-span counters); snapshots and deltas carry counters only.
     """
 
     hits: int = 0
@@ -113,7 +113,7 @@ class EngineStats:
         Sections always render in :data:`DESCRIBE_ORDER` — the base
         engine totals, then the memory/disk tier split, failure/retry
         counters, lane-kernel counters, surrogate-tier counters and the
-        disk store's eviction/quarantine summary.  Each optional section
+        disk store's quarantine summary.  Each optional section
         only appears when its counters are nonzero, so a clean run
         renders exactly as it always did.
         """
@@ -143,7 +143,7 @@ class EngineStats:
 
 
 class ResultCache:
-    """LRU + optional sharded disk store keyed by the request hash.
+    """LRU + optional durable disk store keyed by the request hash.
 
     Parameters
     ----------
@@ -152,30 +152,23 @@ class ResultCache:
         evicted beyond it.
     disk_dir:
         Optional directory for the persistent tier; constructs a
-        :class:`~repro.store.sharded.ShardedStore` there (atomic
-        fsync'd writes, per-entry sha256 verification, quarantine of
-        corrupt entries, orphaned-tmp reclamation).
+        :class:`~repro.store.sharded.ShardedStore` there (fsync'd
+        appends, per-record sha256 verification, quarantine of corrupt
+        records).
     store:
         An already-built store to use as the disk tier (overrides
         ``disk_dir``) — this is how sweep checkpoints share their
         durable store with the cache.
-    max_disk_entries / max_disk_bytes:
-        LRU bounds of the disk tier (``None`` = unbounded); only used
-        when the store is built here (``disk_dir``).
     """
 
     def __init__(self, max_entries: int = 100_000,
                  disk_dir: str | os.PathLike | None = None, *,
-                 store: ShardedStore | None = None,
-                 max_disk_entries: int | None = None,
-                 max_disk_bytes: int | None = None):
+                 store: ShardedStore | None = None):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         if store is None and disk_dir is not None:
-            store = ShardedStore(disk_dir,
-                                 max_entries=max_disk_entries,
-                                 max_bytes=max_disk_bytes)
+            store = ShardedStore(disk_dir)
         self.store = store
         self.disk_dir = Path(store.root) if store is not None else None
         self.stats = EngineStats()
@@ -237,11 +230,6 @@ class ResultCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-
-    def _disk_path(self, key: str) -> Path | None:
-        if self.store is None:
-            return None
-        return self.store.path_for(key)
 
     def _disk_get(self, key: str) -> SequenceResult | None:
         if self.store is None:

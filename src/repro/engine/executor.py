@@ -15,8 +15,8 @@ keyed by (backend, technology, defect kind, cell), so a sweep that
 varies only the resistance or the stress reuses one built netlist, just
 like the hand-rolled sweeps did.  Both pool paths submit through
 :func:`repro.diagnostics.run_counted`: a worker's counters and timers
-travel back with its outcome and merge into the parent's run
-diagnostics.
+travel back with its outcome, or with the exception of an item that
+raised, and merge into the parent's run diagnostics.
 
 Fault isolation (the resilience layer):
 
@@ -531,22 +531,22 @@ class BatchExecutor:
                     # raise): salvage finished work, reschedule the
                     # rest.
                     if fut.done() and not fut.cancelled():
-                        exc = fut.exception()
-                        if exc is None:
-                            outcomes[i] = merge_counted(fut.result())
-                        elif isinstance(exc, BrokenProcessPool):
+                        try:
+                            outcomes[i] = merge_counted(fut)
+                        except BrokenProcessPool:
                             rerun.append(i)
-                        elif on_error == "isolate":
-                            outcomes[i] = FailedResult.from_exception(
-                                pending[i], exc, attempts=attempts[i])
-                        elif error is None:
-                            error = exc
+                        except Exception as exc:
+                            if on_error == "isolate":
+                                outcomes[i] = FailedResult.from_exception(
+                                    pending[i], exc, attempts=attempts[i])
+                            elif error is None:
+                                error = exc
                     else:
                         fut.cancel()
                         rerun.append(i)
                     continue
                 try:
-                    outcomes[i] = merge_counted(fut.result(timeout=timeout))
+                    outcomes[i] = merge_counted(fut, timeout)
                 except FuturesTimeoutError:
                     # The worker may be wedged: fail the item, rebuild
                     # the pool for whatever is still outstanding.
@@ -649,7 +649,7 @@ def configure_default_engine(*, workers: int = 1, cache: bool = True,
     requests built without an explicit policy.
 
     ``checkpoint`` (a directory) makes the run durable: results land in
-    a sharded integrity-checked store there and every completion is
+    an integrity-checked store there and every completion is
     journaled (see :mod:`repro.engine.journal`); it overrides
     ``cache=False``/``disk_dir`` because durability *is* the cache's
     disk tier.  ``resume=True`` additionally recovers a prior
@@ -711,7 +711,7 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],
             futures = [(i, pool.submit(run_counted, fn, item))
                        for i, item in enumerate(items)]
             for i, fut in futures:
-                results[i] = merge_counted(fut.result())
+                results[i] = merge_counted(fut)
         return results
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         missing = [i for i, r in enumerate(results) if r is _UNSET]

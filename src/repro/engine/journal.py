@@ -12,7 +12,9 @@ restartable:
   unjournaled (but still cached) result, never a journaled lie.
 * :class:`SweepCheckpoint` — a directory bundling the journal with a
   :class:`~repro.store.sharded.ShardedStore` holding the result
-  payloads, plus the :class:`~repro.engine.cache.ResultCache` wiring.
+  payloads (one fsync'd segment append per result, which returns
+  before the journal record is written), plus the
+  :class:`~repro.engine.cache.ResultCache` wiring.
 
 Resume semantics (``resume=True``): previously journaled work is
 recognised inside :meth:`BatchExecutor.map <repro.engine.executor
@@ -20,7 +22,8 @@ recognised inside :meth:`BatchExecutor.map <repro.engine.executor
 
 * journaled-ok requests are served from the store and counted as
   ``journal_recovered`` in :mod:`repro.diagnostics`;
-* journaled-ok requests whose store entry was lost or quarantined are
+* journaled-ok requests whose store record was lost or quarantined
+  (or was written by an older store format, which is not read) are
   re-simulated and counted as ``journal_missing`` (corruption degrades
   to recomputation, never to a wrong or absent result);
 * journaled failures are replayed as :class:`~repro.engine.failures
@@ -29,7 +32,9 @@ recognised inside :meth:`BatchExecutor.map <repro.engine.executor
 
 A journal opened *without* ``resume`` on an existing file rotates the
 old journal to ``<name>.bak`` — checkpoint directories are reusable,
-and forgetting ``--resume`` never destroys the durable store.
+and forgetting ``--resume`` never destroys the durable store.  Creating
+or rotating the journal fsyncs its directory, so the new name survives
+a power loss along with the records fsync'd under it.
 
 Torn tails (a crash mid-append) are tolerated on load: any trailing
 line that does not parse is dropped, losing at most the single record
@@ -44,7 +49,7 @@ from pathlib import Path
 
 from repro.engine.cache import ResultCache
 from repro.engine.failures import FailedResult
-from repro.store.sharded import ShardedStore
+from repro.store.sharded import ShardedStore, fsync_dir
 
 #: Bumped when the journal record layout changes incompatibly; foreign
 #: versions are ignored on load (their work re-runs).
@@ -76,15 +81,21 @@ class SweepJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._written: set[str] = set()
         self._resumed: dict[str, dict] = {}
-        if self.path.exists():
+        created = not self.path.exists()
+        if not created:
             if resume:
                 self._resumed = self._load()
                 self._written = set(self._resumed)
             elif self.path.stat().st_size > 0:
                 os.replace(self.path, self.path.with_name(
                     self.path.name + ".bak"))
+                created = True
         self._fd = os.open(self.path,
                            os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
+        if created and fsync:
+            # The records are fsync'd one by one; the directory entries
+            # of the rotation and of the new file need their own sync.
+            fsync_dir(self.path.parent)
 
     # ------------------------------------------------------------------
     # recording
@@ -188,8 +199,8 @@ class SweepCheckpoint:
 
         <dir>/journal.jsonl       append-only completion journal
         <dir>/journal.jsonl.bak   previous journal (non-resume reopen)
-        <dir>/store/              sharded integrity-checked result store
-        <dir>/store/corrupt/      quarantined entries
+        <dir>/store/segments/     append-only result segments (*.seg)
+        <dir>/store/corrupt/      copies of quarantined records
 
     Build one with ``resume=True`` to recover a prior run's progress;
     :meth:`cache` returns a :class:`ResultCache` whose disk tier is the
@@ -199,14 +210,10 @@ class SweepCheckpoint:
     """
 
     def __init__(self, directory: str | os.PathLike, *,
-                 resume: bool = False, fsync: bool = True,
-                 max_entries: int | None = None,
-                 max_bytes: int | None = None):
+                 resume: bool = False, fsync: bool = True):
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.store = ShardedStore(self.dir / "store", fsync=fsync,
-                                  max_entries=max_entries,
-                                  max_bytes=max_bytes)
+        self.store = ShardedStore(self.dir / "store", fsync=fsync)
         self.journal = SweepJournal(self.dir / "journal.jsonl",
                                     resume=resume, fsync=fsync)
         self.resume = resume
@@ -216,5 +223,6 @@ class SweepCheckpoint:
         return ResultCache(max_entries=max_entries, store=self.store)
 
     def close(self) -> None:
-        """Release the journal descriptor."""
+        """Release the journal and store descriptors."""
         self.journal.close()
+        self.store.close()

@@ -1,77 +1,77 @@
-"""Sharded, integrity-checked, content-addressed result store.
+"""Append-only, integrity-checked, content-addressed result store.
 
 :class:`ShardedStore` is the durable disk tier behind
 :class:`~repro.engine.cache.ResultCache` and the checkpoint/resume
-machinery: a directory of pickled payloads addressed by content hash,
-built so that a crashed, concurrent or bit-rotted store can never lie
-to a reader.
+machinery, built so that a crashed, concurrent or bit-rotted store can
+never lie to a reader.
 
-Layout and entry format
------------------------
-Entries live under a 2-hex-prefix shard of the key
-(``<root>/<key[:2]>/<key>.pkl``), so directory listings stay short at
-hundreds of thousands of entries.  Every entry starts with a fixed
-46-byte header::
+Records are appended to segments,
+``<root>/segments/<time_ns>-<pid>-<rand>.seg``; each store creates its
+own with ``O_EXCL`` on its first put (a forked child that puts opens
+another), so no process appends to a segment it does not own.  A record
+is one frame::
 
-    magic 4s | format version u16 | payload length u64 | sha256 32s
+    magic "RPRS" 4s | format version u16 | key 64s (the hex content hash)
+    | payload length u64 | payload sha256 32s | pickled payload
 
-followed by the pickled payload.  Reads verify all four fields and the
-payload digest before unpickling; anything that fails — truncated file,
-flipped bit, foreign format version, stale pickle schema — is
-*quarantined* (moved into ``<root>/corrupt/``, counted, reported through
-:mod:`repro.diagnostics`) and the lookup reports a miss, so corruption
-converts to recomputation, never to wrong results.
+written with one ``os.write`` and fsync'd before :meth:`put` returns.
+An in-memory index maps key → (segment, offset, payload length): built
+by scanning frame prefixes on first use, updated by the store's own
+puts and, on a miss, refreshed from new segments and grown tails, so
+other processes' puts become visible.  The newest record of a key
+(latest segment name, then offset) wins.
 
-Durability and concurrency
---------------------------
-Writes are atomic: a temp file in the destination shard, flushed and
-fsync'd (configurable), then ``os.replace``.  Orphaned ``*.tmp`` files
-left by a crash mid-write are swept on store construction and counted
-(``tmp_reclaimed``).  Cross-process writers are safe by construction
-(``os.replace`` either fully lands or not at all); per-shard advisory
-file locks additionally serialise write/evict/quarantine races so two
-processes never double-move an entry.
-
-Eviction
---------
-``max_entries``/``max_bytes`` bound the store; when a put pushes past a
-bound, the least-recently-used entries (by mtime — reads touch their
-entry) are evicted down to 90 % of the bound.  All activity is counted
-in :class:`StoreStats`.
+Every :meth:`get` re-verifies its frame before unpickling.  A record
+that fails — flipped bit, foreign version, stale pickle, or a torn tail
+whose payload runs past the end of its segment — is *quarantined*:
+copied to ``<root>/corrupt/<key>.<reason>``, counted, dropped from the
+index and served as a miss, so corruption costs a recomputation, never
+a wrong result.  A garbled frame prefix stops indexing until the next
+frame whose prefix parses; the skipped bytes are copied to ``corrupt/``
+and counted.  The log is never compacted, so the store has no size
+bound.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import pickle
+import re
 import struct
-import tempfile
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-try:  # advisory locks are POSIX-only; the store degrades gracefully
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
+from repro.diagnostics import diagnostics
 
-#: First bytes of every entry file ("RePro Store").
+#: First bytes of every frame ("RePro Store").
 MAGIC = b"RPRS"
 
-#: Bumped whenever the entry layout changes; foreign versions quarantine.
-FORMAT_VERSION = 1
+#: Bumped whenever the frame layout changes; foreign versions quarantine.
+#: Version 1 was the one-file-per-entry layout, which is not read.
+FORMAT_VERSION = 2
 
-#: ``magic | version | payload length | payload sha256``.
-_HEADER = struct.Struct("<4sHQ32s")
+#: ``magic | version | key | payload length | payload sha256``.
+FRAME = struct.Struct("<4sH64sQ32s")
 
-#: Orphaned ``*.tmp`` files older than this many seconds are reclaimed
-#: at store construction (young ones may belong to a live writer).
-TMP_RECLAIM_AGE = 60.0
+#: A frame's key: the 64-hex content hash.
+_KEY = re.compile(rb"[0-9a-f]{64}")
 
-#: Eviction drains the store to this fraction of the exceeded bound, so
-#: a hot put loop does not re-trigger a full scan on every write.
-EVICT_WATERMARK = 0.9
+#: Segment read descriptors a store keeps open (least recent closed).
+MAX_READERS = 64
+
+
+def fsync_dir(path: str | os.PathLike) -> None:
+    """Make the entries of directory ``path`` (creations, renames)
+    durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass
@@ -79,120 +79,58 @@ class StoreStats:
     """Activity counters of one :class:`ShardedStore` lifetime.
 
     ``hits``/``misses`` count lookups, ``writes`` completed puts,
-    ``evictions`` entries removed by the LRU bound, ``quarantined``
-    entries moved aside after failing integrity verification, and
-    ``tmp_reclaimed`` orphaned temp files swept at construction.
+    ``quarantined`` records set aside after failing verification, and
+    ``skipped`` garbled segment spans stepped over while indexing.
     """
 
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    evictions: int = 0
     quarantined: int = 0
-    tmp_reclaimed: int = 0
+    skipped: int = 0
 
     def describe(self) -> str:
         """One-line rendering for ``--verbose`` / ``--profile`` output."""
         line = (f"{self.hits} hits / {self.misses} misses, "
-                f"{self.writes} writes, {self.evictions} evicted")
+                f"{self.writes} writes")
         if self.quarantined:
             line += f", {self.quarantined} quarantined"
-        if self.tmp_reclaimed:
-            line += f", {self.tmp_reclaimed} tmp reclaimed"
+        if self.skipped:
+            line += f", {self.skipped} garbled spans skipped"
         return line
 
     @property
     def eventful(self) -> bool:
         """Did anything a clean run would not show happen?"""
-        return bool(self.evictions or self.quarantined
-                    or self.tmp_reclaimed)
-
-
-class _ShardLock:
-    """Advisory exclusive lock on one shard directory (``.lock`` file).
-
-    Reentrant within a process is *not* needed (callers never nest); the
-    lock only serialises cross-process mutation of one shard.  On
-    platforms without ``fcntl`` it degrades to a no-op — atomicity of
-    ``os.replace`` still guarantees readers never see a torn entry.
-    """
-
-    def __init__(self, shard_dir: Path):
-        self._path = shard_dir / ".lock"
-        self._fd: int | None = None
-
-    def __enter__(self) -> "_ShardLock":
-        if fcntl is not None:
-            try:
-                self._fd = os.open(self._path,
-                                   os.O_CREAT | os.O_RDWR, 0o644)
-                fcntl.flock(self._fd, fcntl.LOCK_EX)
-            except OSError:
-                if self._fd is not None:
-                    os.close(self._fd)
-                self._fd = None
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fd is not None:
-            try:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            finally:
-                os.close(self._fd)
-            self._fd = None
+        return bool(self.quarantined or self.skipped)
 
 
 class ShardedStore:
-    """Content-addressed pickle store with integrity-checked entries.
+    """Content-addressed pickle store over append-only segments.
 
     Parameters
     ----------
     root:
-        Store directory (created lazily on first write; an existing
-        tree is scanned for size accounting and orphan reclamation).
-    max_entries / max_bytes:
-        Optional LRU bounds (``None`` = unbounded).  ``max_bytes``
-        counts payload files only, not locks or quarantined entries.
+        Store directory (created on the first put).
     fsync:
-        Whether every put fsyncs before publishing (default).  Turning
-        it off trades crash durability of the *latest* writes for
-        throughput — integrity checking still rejects any torn entry.
-    tmp_max_age:
-        Minimum age (seconds) before an orphaned ``*.tmp`` file is
-        reclaimed at construction; younger files may belong to a
-        concurrent live writer.
+        Whether every put fsyncs its frame before returning (default).
+        Turning it off trades crash durability of the *latest* writes
+        for throughput — integrity checking still rejects any torn
+        frame.
     """
 
-    def __init__(self, root: str | os.PathLike, *,
-                 max_entries: int | None = None,
-                 max_bytes: int | None = None,
-                 fsync: bool = True,
-                 tmp_max_age: float = TMP_RECLAIM_AGE):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
+    def __init__(self, root: str | os.PathLike, *, fsync: bool = True):
         self.root = Path(root)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
+        self.segment_dir = self.root / "segments"
+        self.corrupt_dir = self.root / "corrupt"   # set-aside copies
         self.fsync = fsync
         self.stats = StoreStats()
-        self._approx_entries = 0
-        self._approx_bytes = 0
-        if self.root.is_dir():
-            self._scan_existing(tmp_max_age)
-
-    # ------------------------------------------------------------------
-    # paths
-    # ------------------------------------------------------------------
-    def path_for(self, key: str) -> Path:
-        """Where the entry for ``key`` lives (existing or not)."""
-        return self.root / key[:2] / f"{key}.pkl"
-
-    @property
-    def corrupt_dir(self) -> Path:
-        """Where quarantined entries are moved."""
-        return self.root / "corrupt"
+        self._index: dict[str, tuple[str, int, int]] = {}
+        self._scanned: dict[str, int] = {}    # segment -> indexed end
+        self._readers: OrderedDict[str, int] = OrderedDict()
+        self._segment: str | None = None      # this store's own segment
+        self._fd: int | None = None           # ... its append descriptor
+        self._owner = 0                       # ... and the pid owning it
 
     # ------------------------------------------------------------------
     # lookup / store
@@ -200,228 +138,278 @@ class ShardedStore:
     def get(self, key: str):
         """The stored object for ``key``, or ``None`` on a miss.
 
-        Every read re-verifies the header and payload digest; entries
-        failing verification are quarantined and reported as misses.
+        Every read re-verifies the frame; a record failing verification
+        is quarantined and reported as a miss.
         """
-        path = self.path_for(key)
+        loc = self._locate(key)
+        if loc is None:
+            self.stats.misses += 1
+            return None
+        segment, offset, length = loc
         try:
-            with path.open("rb") as fh:
-                raw = fh.read()
+            raw = os.pread(self._reader(segment), FRAME.size + length,
+                           offset)
         except OSError:
             self.stats.misses += 1
             return None
-        payload = self._verify(raw)
-        if payload is None:
-            self._quarantine(path, self._verify_failure(raw))
-            self.stats.misses += 1
-            return None
-        try:
-            obj = pickle.loads(payload)
-        except Exception:
-            # The bytes are intact but the pickled schema is stale or
-            # foreign — same treatment as corruption.
-            self._quarantine(path, "unpicklable")
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._touch(path)
-        return obj
+        reason = _verify(raw, key)
+        if reason is None:
+            try:
+                obj = pickle.loads(memoryview(raw)[FRAME.size:])
+            except Exception:
+                # The bytes are intact but the pickled schema is stale
+                # or foreign — same treatment as corruption.
+                reason = "unpicklable"
+            else:
+                self.stats.hits += 1
+                return obj
+        self._quarantine(key, raw, reason)
+        self.stats.misses += 1
+        return None
 
     def put(self, key: str, obj) -> None:
-        """Atomically store ``obj`` under ``key`` (last writer wins)."""
+        """Append ``obj`` under ``key``; returns once the frame is
+        durable (with ``fsync``).  The newest record wins."""
+        name = key.encode("ascii")
+        if not _KEY.fullmatch(name):
+            raise ValueError(f"store keys are 64-hex hashes, got {key!r}")
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(payload),
-                              hashlib.sha256(payload).digest())
-        path = self.path_for(key)
-        shard = path.parent
-        shard.mkdir(parents=True, exist_ok=True)
-        with _ShardLock(shard):
-            fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(header)
-                    fh.write(payload)
-                    fh.flush()
-                    if self.fsync:
-                        os.fsync(fh.fileno())
-                existed = path.exists()
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                return
+        frame = FRAME.pack(MAGIC, FORMAT_VERSION, name, len(payload),
+                           hashlib.sha256(payload).digest()) + payload
+        try:
+            fd = self._writer()
+            if os.write(fd, frame) != len(frame):
+                raise OSError("short write")
+            if self.fsync:
+                os.fsync(fd)
+        except OSError:
+            # A failed append may leave a torn tail: readers quarantine
+            # it, and the next put starts a fresh segment.
+            self.close()
+            return
+        offset = self._scanned[self._segment]
+        self._scanned[self._segment] = offset + len(frame)
+        self._index[key] = (self._segment, offset, len(payload))
         self.stats.writes += 1
-        if not existed:
-            self._approx_entries += 1
-        self._approx_bytes += len(header) + len(payload)
-        self._enforce_bounds()
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        return self._locate(key) is not None
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
+        self._refresh()
+        return len(self._index)
 
     def keys(self) -> list[str]:
-        """Keys of every entry currently on disk (unverified)."""
-        return [p.name[:-4] for _, _, p in self._entries()]
+        """Keys of every live index entry (unverified)."""
+        self._refresh()
+        return list(self._index)
 
-    # ------------------------------------------------------------------
-    # verification / quarantine
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _verify(raw: bytes) -> bytes | None:
-        """The payload when ``raw`` is a valid entry, else ``None``."""
-        if len(raw) < _HEADER.size:
+    def locate(self, key: str) -> tuple[Path, int, int] | None:
+        """``(segment path, frame offset, frame size)`` of the record
+        ``get(key)`` would read, or ``None``."""
+        loc = self._locate(key)
+        if loc is None:
             return None
-        magic, version, length, digest = _HEADER.unpack_from(raw)
-        if magic != MAGIC or version != FORMAT_VERSION:
-            return None
-        payload = raw[_HEADER.size:]
-        if len(payload) != length:
-            return None
-        if hashlib.sha256(payload).digest() != digest:
-            return None
-        return payload
+        segment, offset, length = loc
+        return self.segment_dir / segment, offset, FRAME.size + length
 
-    @staticmethod
-    def _verify_failure(raw: bytes) -> str:
-        """Why ``raw`` failed verification (for the quarantine name)."""
-        if len(raw) < _HEADER.size:
-            return "truncated"
-        magic, version, length, digest = _HEADER.unpack_from(raw)
-        if magic != MAGIC:
-            return "bad-magic"
-        if version != FORMAT_VERSION:
-            return f"version-{version}"
-        payload = raw[_HEADER.size:]
-        if len(payload) != length:
-            return "truncated"
-        if hashlib.sha256(payload).digest() != digest:
-            return "digest-mismatch"
-        return "corrupt"
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a failed entry into ``corrupt/`` and count it."""
-        dest_dir = self.corrupt_dir
-        try:
-            dest_dir.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return
-        dest = dest_dir / f"{path.name}.{reason}"
-        n = 0
-        while dest.exists():
-            n += 1
-            dest = dest_dir / f"{path.name}.{reason}.{n}"
-        with _ShardLock(path.parent):
+    def close(self) -> None:
+        """Release this store's descriptors; a later put starts a new
+        segment."""
+        fds = list(self._readers.values())
+        if self._fd is not None and self._owner == os.getpid():
+            fds.append(self._fd)
+        self._readers.clear()
+        self._fd = self._segment = None
+        for fd in fds:
             try:
-                size = path.stat().st_size
-                os.replace(path, dest)
+                os.close(fd)
             except OSError:
-                # A concurrent reader already quarantined (or a writer
-                # replaced) this entry; nothing left to move.
-                return
-        self.stats.quarantined += 1
-        self._approx_entries = max(0, self._approx_entries - 1)
-        self._approx_bytes = max(0, self._approx_bytes - size)
-        from repro.diagnostics import diagnostics
-        diagnostics().record_cache_quarantine(str(path), reason)
+                pass
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _touch(self, path: Path) -> None:
-        """Refresh the entry's LRU recency (mtime)."""
+    def __del__(self):
         try:
-            os.utime(path)
-        except OSError:
+            self.close()
+        except Exception:           # interpreter shutdown
             pass
 
-    def _entries(self):
-        """Yield ``(mtime, size, path)`` of every entry on disk."""
+    # ------------------------------------------------------------------
+    # segments
+    # ------------------------------------------------------------------
+    def _writer(self) -> int:
+        """The append descriptor of this process's own segment, created
+        on the first put (and again in a forked child)."""
+        pid = os.getpid()
+        if self._fd is not None and self._owner == pid:
+            return self._fd
+        directory = self.segment_dir
+        fresh = not directory.is_dir()
+        directory.mkdir(parents=True, exist_ok=True)
+        name = f"{time.time_ns():020d}-{pid}-{os.urandom(4).hex()}.seg"
+        fd = os.open(directory / name,
+                     os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND,
+                     0o644)
+        if self.fsync:
+            fsync_dir(directory)
+            if fresh:
+                fsync_dir(self.root)
+                fsync_dir(self.root.parent)
+        self._fd, self._owner, self._segment = fd, pid, name
+        self._scanned[name] = 0
+        return fd
+
+    def _reader(self, segment: str) -> int:
+        """A read descriptor of ``segment`` (reads use ``pread``, so a
+        forked child may share it)."""
+        fd = self._readers.pop(segment, None)
+        if fd is None:
+            fd = os.open(self.segment_dir / segment, os.O_RDONLY)
+            if len(self._readers) >= MAX_READERS:
+                os.close(self._readers.popitem(last=False)[1])
+        self._readers[segment] = fd
+        return fd
+
+    # ------------------------------------------------------------------
+    # index
+    # ------------------------------------------------------------------
+    def _locate(self, key: str) -> tuple[str, int, int] | None:
+        loc = self._index.get(key)
+        if loc is None:
+            self._refresh()
+            loc = self._index.get(key)
+        return loc
+
+    def _refresh(self) -> None:
+        """Index what was appended since the last refresh: new segments
+        and grown tails."""
         try:
-            shards = [p for p in self.root.iterdir()
-                      if p.is_dir() and p.name != "corrupt"]
+            names = sorted(name for name in os.listdir(self.segment_dir)
+                           if name.endswith(".seg"))
         except OSError:
             return
-        for shard in shards:
-            try:
-                names = list(os.scandir(shard))
-            except OSError:
-                continue
-            for entry in names:
-                if not entry.name.endswith(".pkl"):
-                    continue
-                try:
-                    st = entry.stat()
-                except OSError:
-                    continue
-                yield st.st_mtime, st.st_size, Path(entry.path)
+        for name in names:
+            self._scanned[name] = self._scan(name,
+                                             self._scanned.get(name, 0))
 
-    def _scan_existing(self, tmp_max_age: float) -> None:
-        """Initial accounting pass: sizes plus orphaned-tmp reclamation."""
-        now = time.time()
-        reclaimed = 0
-        for shard in self.root.iterdir():
-            if not shard.is_dir() or shard.name == "corrupt":
-                continue
-            try:
-                names = list(os.scandir(shard))
-            except OSError:
-                continue
-            for entry in names:
-                try:
-                    st = entry.stat()
-                except OSError:
+    def _scan(self, segment: str, start: int) -> int:
+        """Index the frames of ``segment`` from ``start``; returns the
+        offset the next refresh resumes at."""
+        try:
+            fd = self._reader(segment)
+            size = os.fstat(fd).st_size
+        except OSError:
+            return start
+        if size <= start:
+            return start
+        offset = start
+        with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as buf:
+            while offset < size:
+                head = _prefix(buf, offset, size)
+                if head is None:
+                    if size - offset < FRAME.size and _in_flight(segment):
+                        break
+                    resume = _next_frame(buf, offset + 1, size)
+                    self._skip(segment, offset, buf[offset:resume])
+                    offset = resume
                     continue
-                if entry.name.endswith(".tmp"):
-                    # A crash mid-put leaves the temp file behind; the
-                    # entry it was meant to become was never published.
-                    if now - st.st_mtime >= tmp_max_age:
-                        try:
-                            os.unlink(entry.path)
-                            reclaimed += 1
-                        except OSError:
-                            pass
-                    continue
-                if entry.name.endswith(".pkl"):
-                    self._approx_entries += 1
-                    self._approx_bytes += st.st_size
-        if reclaimed:
-            self.stats.tmp_reclaimed += reclaimed
-            from repro.diagnostics import diagnostics
-            diagnostics().record_tmp_reclaimed(reclaimed)
+                key, length = head
+                if offset + FRAME.size + length > size:
+                    if _in_flight(segment):
+                        break
+                    # A torn tail: indexed with the bytes it has, so
+                    # its get quarantines it as truncated.
+                    length = size - offset - FRAME.size
+                old = self._index.get(key)
+                if old is None or old[:2] < (segment, offset):
+                    self._index[key] = (segment, offset, length)
+                offset += FRAME.size + length
+        return offset
 
-    def _enforce_bounds(self) -> None:
-        """Evict LRU entries when a size/count bound is exceeded."""
-        over_count = (self.max_entries is not None
-                      and self._approx_entries > self.max_entries)
-        over_bytes = (self.max_bytes is not None
-                      and self._approx_bytes > self.max_bytes)
-        if not (over_count or over_bytes):
-            return
-        entries = sorted(self._entries())          # oldest mtime first
-        # Re-anchor the approximations on the exact scan.
-        self._approx_entries = len(entries)
-        self._approx_bytes = sum(size for _, size, _ in entries)
-        target_entries = (int(self.max_entries * EVICT_WATERMARK)
-                          if self.max_entries is not None else None)
-        target_bytes = (int(self.max_bytes * EVICT_WATERMARK)
-                        if self.max_bytes is not None else None)
-        for _, size, path in entries:
-            need_count = (target_entries is not None
-                          and self._approx_entries > target_entries)
-            need_bytes = (target_bytes is not None
-                          and self._approx_bytes > target_bytes)
-            if not (need_count or need_bytes):
-                break
-            with _ShardLock(path.parent):
+    # ------------------------------------------------------------------
+    # quarantine
+    # ------------------------------------------------------------------
+    def _quarantine(self, key: str, raw: bytes, reason: str) -> None:
+        """Set a failed record aside, count it and forget it."""
+        self._index.pop(key, None)
+        dest = self._set_aside(f"{key}.{reason}", raw)
+        self.stats.quarantined += 1
+        diagnostics().record_cache_quarantine(str(dest or key), reason)
+
+    def _skip(self, segment: str, offset: int, data: bytes) -> None:
+        """Set a garbled span aside and count it."""
+        dest = self._set_aside(f"{segment}.{offset}.skipped", data)
+        self.stats.skipped += 1
+        diagnostics().record_store_skip(str(dest or segment), len(data))
+
+    def _set_aside(self, name: str, data: bytes) -> Path | None:
+        """Copy damaged bytes to ``corrupt/`` (never over an earlier
+        copy); the copy's path, or ``None`` when it could not be made."""
+        try:
+            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
+            dest, n = self.corrupt_dir / name, 0
+            while True:
                 try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-            self.stats.evictions += 1
-            self._approx_entries -= 1
-            self._approx_bytes -= size
+                    with open(dest, "xb") as fh:
+                        fh.write(data)
+                    return dest
+                except FileExistsError:
+                    n += 1
+                    dest = self.corrupt_dir / f"{name}.{n}"
+        except OSError:
+            return None
+
+
+def _prefix(buf, offset: int, size: int) -> tuple[str, int] | None:
+    """``(key, payload length)`` of the frame prefix at ``offset``, or
+    ``None`` when none parses there.  The version is checked on read,
+    so a foreign-version record still quarantines under its key."""
+    if size - offset < FRAME.size:
+        return None
+    magic, _, key, length, _ = FRAME.unpack_from(buf, offset)
+    if magic != MAGIC or not _KEY.fullmatch(key):
+        return None
+    return key.decode("ascii"), length
+
+
+def _next_frame(buf, start: int, size: int) -> int:
+    """Offset of the first parsing frame prefix at or after ``start``
+    (``size`` when there is none)."""
+    at = buf.find(MAGIC, start)
+    while at != -1 and _prefix(buf, at, size) is None:
+        at = buf.find(MAGIC, at + 1)
+    return size if at == -1 else at
+
+
+def _in_flight(segment: str) -> bool:
+    """Whether another live process owns ``segment``, so a short tail
+    there is a frame still being written rather than a torn one."""
+    try:
+        pid = int(segment.split("-")[1])
+        if pid != os.getpid():
+            os.kill(pid, 0)
+            return True
+    except PermissionError:         # alive, owned by another user
+        return True
+    except (IndexError, ValueError, OSError):   # no pid, or it is gone
+        pass
+    return False
+
+
+def _verify(raw: bytes, key: str) -> str | None:
+    """Why the frame ``raw`` indexed for ``key`` fails verification (the
+    quarantine reason), or ``None`` when it is intact."""
+    if len(raw) < FRAME.size:
+        return "truncated"
+    magic, version, stored_key, length, digest = FRAME.unpack_from(raw)
+    payload = memoryview(raw)[FRAME.size:]
+    if magic != MAGIC:
+        return "bad-magic"
+    if version != FORMAT_VERSION:
+        return f"version-{version}"
+    if len(payload) < length:
+        return "truncated"
+    if stored_key != key.encode("ascii") or len(payload) != length:
+        return "corrupt"
+    if hashlib.sha256(payload).digest() != digest:
+        return "digest-mismatch"
+    return None

@@ -1,4 +1,4 @@
-"""Active-learning calibration journal, persisted in the sharded store.
+"""Active-learning calibration journal, persisted in the result store.
 
 Every electrical border search that runs while a surrogate tier is
 active is journaled as a **calibration point** — the tier tightens over
@@ -106,10 +106,10 @@ class CalibrationJournal:
     """Per-defect calibration point sets, memory-first, store-backed.
 
     Without a store the journal is process-local (the tier still
-    tightens within a run); with one, every ``record`` is an atomic
-    read-modify-write of the defect's entry, so points survive a
-    SIGKILL mid-campaign and a resumed run starts from everything the
-    dead one learned.
+    tightens within a run); with one, every ``record`` puts the
+    defect's whole point set as one new store record (the newest wins),
+    so points survive a SIGKILL mid-campaign and a resumed run starts
+    from everything the dead one learned.
     """
 
     def __init__(self, store: "ShardedStore | None" = None):

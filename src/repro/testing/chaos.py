@@ -18,9 +18,9 @@ that fails fails the same way every time:
   :class:`~repro.spice.errors.ConvergenceError` and timeout stalls in
   front of the real :func:`~repro.engine.executor.execute_request`.
 * :func:`corrupt_entry` / :func:`corrupt_store` — damage
-  :class:`~repro.store.sharded.ShardedStore` entries on disk
-  (truncation, bit flips, garbage, foreign format version) the way a
-  crashed writer or rotting disk would.
+  :class:`~repro.store.sharded.ShardedStore` records in place inside
+  their segments (torn writes, bit flips, garbage, foreign format
+  version) the way a crashed writer or rotting disk would.
 * :func:`run_cli_killed_mid_sweep` — spawn a checkpointed
   ``python -m repro`` sweep and SIGKILL/SIGTERM it mid-run, triggered
   by journal growth so the kill lands at a deterministic amount of
@@ -42,7 +42,7 @@ from pathlib import Path
 
 from repro.engine.executor import execute_request
 from repro.spice.errors import ConvergenceError
-from repro.store.sharded import _HEADER, MAGIC, ShardedStore
+from repro.store.sharded import FRAME, ShardedStore
 
 #: Fault kinds a :class:`ChaosPlan` can draw.
 FAULT_CRASH = "crash"
@@ -150,39 +150,49 @@ def chaos_work_fn(plan: ChaosPlan):
 # ----------------------------------------------------------------------
 def corrupt_entry(store: ShardedStore, key: str,
                   mode: str = CORRUPT_TRUNCATE, seed: int = 0) -> None:
-    """Damage the on-disk entry for ``key`` in place.
+    """Damage the record ``store.get(key)`` would read, in place inside
+    its segment.
 
-    ``truncate`` cuts the file mid-payload (torn write), ``bitflip``
-    flips one payload bit (silent media corruption), ``garbage``
-    replaces the whole file with random bytes, ``version`` rewrites the
-    header's format version (a foreign/future store wrote the entry).
+    The frame keeps its size and its locator (magic, version, key,
+    payload length): a record in the middle of a log cannot be cut, and
+    the records after it must stay reachable.  ``truncate`` zero-fills
+    the record from a cut point in its digest or payload to its end (the
+    part of a torn write that never landed), ``bitflip`` flips one
+    payload bit (silent media corruption), ``garbage`` overwrites the
+    digest and payload with junk, ``version`` rewrites the frame's
+    format version (a foreign/future store wrote the record).
     """
     if mode not in CORRUPT_MODES:
         raise ValueError(f"unknown corruption mode {mode!r}")
-    path = store.path_for(key)
-    raw = bytearray(path.read_bytes())
-    if mode == CORRUPT_TRUNCATE:
-        keep = max(1, int(len(raw) * _uniform(seed, key, "cut")))
-        raw = raw[:keep]
-    elif mode == CORRUPT_BITFLIP:
-        span = len(raw) - _HEADER.size
-        offset = _HEADER.size + int(span * _uniform(seed, key, "pos")) \
-            if span > 0 else 0
-        offset = min(offset, len(raw) - 1)
-        raw[offset] ^= 1 << int(8 * _uniform(seed, key, "bit"))
-    elif mode == CORRUPT_GARBAGE:
-        digest = hashlib.sha256(f"{seed}:{key}:junk".encode()).digest()
-        raw = bytearray((digest * (len(raw) // 32 + 1))[:len(raw)])
-    elif mode == CORRUPT_VERSION:
-        version = struct.unpack_from("<H", raw, 4)[0]
-        struct.pack_into("<H", raw, 4, (version + 1) & 0xFFFF)
-        raw[:4] = MAGIC                 # header otherwise intact
-    path.write_bytes(bytes(raw))
+    located = store.locate(key)
+    if located is None:
+        raise KeyError(key)
+    path, offset, size = located
+    body = FRAME.size - 32                  # the digest, then the payload
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        raw = bytearray(fh.read(size))
+        if mode == CORRUPT_TRUNCATE:
+            cut = body + int((size - body) * _uniform(seed, key, "cut"))
+            raw[cut:] = bytes(size - cut)
+        elif mode == CORRUPT_BITFLIP:
+            span = size - FRAME.size
+            pos = FRAME.size + int(span * _uniform(seed, key, "pos")) \
+                if span > 0 else size - 1
+            raw[pos] ^= 1 << int(8 * _uniform(seed, key, "bit"))
+        elif mode == CORRUPT_GARBAGE:
+            junk = hashlib.sha256(f"{seed}:{key}:junk".encode()).digest()
+            raw[body:] = (junk * ((size - body) // 32 + 1))[:size - body]
+        elif mode == CORRUPT_VERSION:
+            version = struct.unpack_from("<H", raw, 4)[0]
+            struct.pack_into("<H", raw, 4, (version + 1) & 0xFFFF)
+        fh.seek(offset)
+        fh.write(raw)
 
 
 def corrupt_store(store: ShardedStore, rate: float = 1.0, *,
                   seed: int = 0, modes=CORRUPT_MODES) -> list[str]:
-    """Corrupt a deterministic ``rate`` fraction of the store's entries,
+    """Corrupt a deterministic ``rate`` fraction of the store's records,
     cycling through ``modes``; returns the damaged keys."""
     damaged = []
     for key in sorted(store.keys()):

@@ -1,5 +1,7 @@
 """Result cache: LRU behaviour, statistics, disk tier."""
 
+import os
+
 from repro.behav import behavioral_model
 from repro.defects import Defect, DefectKind
 from repro.dram.ops import parse_ops
@@ -14,6 +16,12 @@ def _request(ops="w1 r1", init_vc=0.0, resistance=200e3):
         ops, init_vc, backend="behavioral",
         defect=Defect(DefectKind.O3, resistance=resistance),
         stress=NOMINAL_STRESS)
+
+
+def _overwrite(path, offset, data):
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(data)
 
 
 def _result(request):
@@ -92,13 +100,14 @@ class TestDiskTier:
         req = _request()
         cache = ResultCache(disk_dir=tmp_path)
         cache.put(req, _result(req))
-        path = cache._disk_path(req.content_hash)
-        path.write_bytes(b"not a store entry at all")
+        path, offset, size = cache.store.locate(req.content_hash)
+        junk = b"not a store record"
+        _overwrite(path, offset + size - len(junk), junk)
 
         diag = reset_diagnostics()
         fresh = ResultCache(disk_dir=tmp_path)
         assert fresh.get(req) is None             # miss, not a crash
-        assert not path.exists()                  # moved out of the way
+        assert req.content_hash not in fresh.store   # out of the index
         assert diag.cache_quarantined == 1
         assert fresh.store.stats.quarantined == 1
         quarantined = list(fresh.store.corrupt_dir.iterdir())
@@ -112,44 +121,32 @@ class TestDiskTier:
         req = _request()
         cache = ResultCache(disk_dir=tmp_path)
         cache.put(req, _result(req))
-        path = cache._disk_path(req.content_hash)
-        path.write_bytes(path.read_bytes()[:10])  # simulate torn write
+        path, offset, size = cache.store.locate(req.content_hash)
+        os.truncate(path, offset + size - 10)     # simulate torn write
 
         fresh = ResultCache(disk_dir=tmp_path)
         assert fresh.get(req) is None
-        assert not path.exists()
+        assert req.content_hash not in fresh.store
         assert fresh.store.stats.quarantined == 1
 
-    def test_orphaned_tmp_reclaimed_on_init(self, tmp_path):
-        import os
-
+    def test_garbled_span_skipped_and_counted(self, tmp_path):
         from repro.diagnostics import reset_diagnostics
 
-        req = _request()
+        reqs = [_request(resistance=r) for r in (1e5, 2e5, 3e5)]
         cache = ResultCache(disk_dir=tmp_path)
-        cache.put(req, _result(req))
-        orphan = tmp_path / "ab" / "deadbeef.tmp"
-        orphan.parent.mkdir(exist_ok=True)
-        orphan.write_bytes(b"half a write")
-        os.utime(orphan, (0, 0))                  # old enough to reclaim
+        for req in reqs:
+            cache.put(req, _result(req))
+        path, offset, _ = cache.store.locate(reqs[1].content_hash)
+        _overwrite(path, offset, b"\0" * 4)       # the frame's magic
 
         diag = reset_diagnostics()
         fresh = ResultCache(disk_dir=tmp_path)
-        assert not orphan.exists()
-        assert fresh.store.stats.tmp_reclaimed == 1
-        assert diag.cache_tmp_reclaimed == 1
-        assert fresh.get(req) is not None         # entries untouched
-
-    def test_fresh_tmp_left_alone(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path)
-        cache.put(_request(), _result(_request()))
-        live = tmp_path / "ab" / "inflight.tmp"
-        live.parent.mkdir(exist_ok=True)
-        live.write_bytes(b"a concurrent writer owns this")
-
-        fresh = ResultCache(disk_dir=tmp_path)    # default 60 s age gate
-        assert live.exists()
-        assert fresh.store.stats.tmp_reclaimed == 0
+        assert fresh.get(reqs[1]) is None         # its key is unreadable
+        assert fresh.store.stats.skipped == 1
+        assert diag.cache_skipped == 1
+        assert diag.eventful
+        assert fresh.get(reqs[0]) is not None     # neighbours untouched
+        assert fresh.get(reqs[2]) is not None
 
     def test_stats_split_memory_vs_disk(self, tmp_path):
         req = _request()

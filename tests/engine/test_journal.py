@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 from repro.behav import behavioral_model
 from repro.defects import Defect, DefectKind
@@ -102,6 +103,44 @@ class TestJournalFile:
         assert SweepJournal(path, resume=True).resumed == 0
 
 
+class TestJournalDirectoryDurability:
+    """Creating or rotating the journal syncs the checkpoint directory,
+    so the new name is durable along with the records under it."""
+
+    @staticmethod
+    def _synced_dirs(monkeypatch):
+        synced, real = [], os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            if stat.S_ISDIR(st.st_mode):
+                synced.append((st.st_dev, st.st_ino))
+            real(fd)
+        monkeypatch.setattr(os, "fsync", spy)
+        return synced
+
+    @staticmethod
+    def _ident(path):
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+
+    def test_fresh_checkpoint_syncs_its_directory(self, tmp_path,
+                                                  monkeypatch):
+        synced = self._synced_dirs(monkeypatch)
+        SweepCheckpoint(tmp_path / "ck").close()
+        assert self._ident(tmp_path / "ck") in synced
+
+    def test_reopen_without_resume_syncs_the_rotation(self, tmp_path,
+                                                      monkeypatch):
+        ckpt = SweepCheckpoint(tmp_path / "ck")
+        ckpt.journal.record_ok("k")
+        ckpt.close()
+        synced = self._synced_dirs(monkeypatch)
+        SweepCheckpoint(tmp_path / "ck").close()
+        assert (tmp_path / "ck" / "journal.jsonl.bak").exists()
+        assert self._ident(tmp_path / "ck") in synced
+
+
 class TestExecutorJournaling:
     def test_map_journals_completions(self, tmp_path):
         ckpt = SweepCheckpoint(tmp_path / "ck")
@@ -187,7 +226,8 @@ class TestExecutorJournaling:
         engine = BatchExecutor(cache=ckpt.cache(), journal=ckpt.journal)
         expected = engine.run(request)
         ckpt.close()
-        os.unlink(ckpt.store.path_for(request.content_hash))
+        for segment in (tmp_path / "ck" / "store" / "segments").iterdir():
+            os.unlink(segment)                      # the record is lost
 
         diag = reset_diagnostics()
         resumed = SweepCheckpoint(tmp_path / "ck", resume=True)
@@ -223,8 +263,8 @@ class TestCheckpointLayout:
         model = behavioral_model(Defect(DefectKind.O3, resistance=200e3))
         result = model.run_sequence(parse_ops(request.ops), init_vc=0.0)
         ckpt.store.put(request.content_hash, result)
-        entry = ckpt.store.path_for(request.content_hash)
-        assert entry.is_relative_to(tmp_path / "ck" / "store")
+        segment, _, _ = ckpt.store.locate(request.content_hash)
+        assert segment.parent == tmp_path / "ck" / "store" / "segments"
 
     def test_cache_uses_store(self, tmp_path):
         ckpt = SweepCheckpoint(tmp_path / "ck")

@@ -1,8 +1,9 @@
 """Worker processes send their counters back to the parent.
 
 Both pool entry points (``BatchExecutor`` and ``parallel_map``) return
-each worker's registry with its outcome; the run totals must not depend
-on how many processes did the work.
+each worker's registry with its outcome, or with the exception of an
+item that raised; the run totals must not depend on how many processes
+did the work.
 """
 
 import pytest
@@ -11,7 +12,8 @@ import repro.engine.executor as executor_mod
 from repro.defects import Defect, DefectKind
 from repro.diagnostics import diagnostics, reset_diagnostics
 from repro.dram.ops import parse_ops
-from repro.engine import BatchExecutor, SequenceRequest, parallel_map
+from repro.engine import (BatchExecutor, SequenceRequest, is_failed,
+                          parallel_map)
 from repro.stress import NOMINAL_STRESS
 
 RESISTANCES = (50e3, 200e3, 800e3)
@@ -37,6 +39,12 @@ def _rescuing_work(request):
     """A work unit whose solve needed one rescue (module-level)."""
     diagnostics().record_rescue("gmin")
     return executor_mod.execute_request(request)
+
+
+def _count_then_raise(item):
+    """A work unit that counts, then fails (module-level)."""
+    diagnostics().count("test.counted")
+    raise ValueError("injected after counting")
 
 
 def _fresh_run():
@@ -93,3 +101,18 @@ class TestWorkerCountersReachTheParent:
                       work_fn=_rescuing_work).map(_requests("behavioral"))
         assert diag.rescues == len(RESISTANCES)
         assert diag.rescue_stages == {"gmin": len(RESISTANCES)}
+
+    def test_counts_of_a_raising_item_reach_the_parent(self):
+        diag = _fresh_run()
+        outcomes = BatchExecutor(
+            cache=None, workers=2, on_error="isolate",
+            work_fn=_count_then_raise).map(_requests("behavioral"))
+        assert all(is_failed(o) for o in outcomes)
+        assert diag.counts["test.counted"] == len(RESISTANCES)
+        assert diag.failures == len(RESISTANCES)
+
+    def test_parallel_map_counts_of_a_raising_item_reach_the_parent(self):
+        diag = _fresh_run()
+        with pytest.raises(ValueError, match="injected"):
+            parallel_map(_count_then_raise, RESISTANCES, workers=2)
+        assert diag.counts["test.counted"] >= 1
