@@ -40,8 +40,9 @@ def find_border_resistance(model: ColumnModel, defect: Defect, *,
     active tier (:func:`repro.surrogate.active_tier`), ``False`` forces
     a plain electrical search, a :class:`~repro.surrogate.SurrogateTier`
     overrides.  With a tier engaged, serve mode may answer surrogate-only
-    under its uncertainty bound; otherwise the tier supplies the prior
-    and journals the electrical result as a calibration point.
+    under its uncertainty bound; otherwise the tier's estimate for the
+    queried SC seeds the bracket (``prior`` only when the tier has none)
+    and the electrical result is journaled as a calibration point.
     """
     if stress is not None:
         model.set_stress(stress)
@@ -61,8 +62,9 @@ def find_border_resistance(model: ColumnModel, defect: Defect, *,
                                rel_tol=rel_tol)
         if served is not None:
             return served
-        if prior is None:
-            prior = tier.br_prior(defect, query_stress, rel_tol=rel_tol)
+        estimate = tier.br_prior(defect, query_stress, rel_tol=rel_tol)
+        if estimate is not None:
+            prior = estimate
 
     result = border_resistance(model, fails_high=defect.fails_high,
                                r_lo=r_lo, r_hi=r_hi, sequences=sequences,

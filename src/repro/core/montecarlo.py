@@ -127,8 +127,12 @@ class MonteCarloReport:
 def _border_winner(model_factory, defect: Defect,
                    base: StressConditions, tech: TechnologyParams,
                    kind: StressKind, rel_tol: float,
-                   on_error: str = "raise") -> float | None:
-    """Border-winning ST value on one technology (None = tie)."""
+                   on_error: str = "raise",
+                   prior: float | None = None) -> float | None:
+    """Border-winning ST value on one technology (None = tie).
+
+    ``prior``, the technology's nominal BR, seeds both extremes' searches.
+    """
     model = model_factory(defect, base, tech)
     rng_range = STRESS_RANGES[kind]
     borders = {}
@@ -136,7 +140,8 @@ def _border_winner(model_factory, defect: Defect,
         sc = base.with_value(kind, value)
         borders[value] = find_border_resistance(model, defect, stress=sc,
                                                 rel_tol=rel_tol,
-                                                on_error=on_error)
+                                                on_error=on_error,
+                                                prior=prior)
     lo, hi = rng_range.extremes
     if more_effective(defect, borders[lo], borders[hi]):
         return lo
@@ -162,7 +167,8 @@ def _mc_sample_task(args):
                                         rel_tol=rel_tol,
                                         on_error=on_error)
         winners = {kind: _border_winner(model_factory, defect, base,
-                                        tech, kind, rel_tol, on_error)
+                                        tech, kind, rel_tol, on_error,
+                                        prior=border.resistance)
                    for kind in kinds}
     except Exception:
         if on_error != "isolate":
@@ -226,7 +232,8 @@ def direction_robustness(
                                                 on_error=on_error)
                 winners = {kind: _border_winner(model_factory, defect,
                                                 base, tech, kind,
-                                                rel_tol, on_error)
+                                                rel_tol, on_error,
+                                                prior=border.resistance)
                            for kind in kinds}
             except Exception as exc:
                 if on_error != "isolate":

@@ -10,6 +10,12 @@ For one defect:
 5. re-identify BR under the SC and re-derive the detection condition
    (which may need more charge operations — Fig. 6).
 
+The BR searches of steps 3 and 5 are seeded with the nominal BR (or
+with the surrogate tier's estimate for their SC, when a tier applies):
+they verify the leaf it points at instead of bisecting the whole range
+and, under a monotone fault predicate, return the same border bit for
+bit (see :func:`repro.analysis.border.bisect_lattice`).
+
 :func:`optimize_all_defects` runs the flow over the whole Fig. 7 catalog
 and renders the paper's Table 1.
 """
@@ -177,7 +183,7 @@ def optimize_defect(defect: Defect | DefectKind, *,
                 # without surrogate-only serving.
                 border = find_border_resistance(
                     model, defect, stress=sc, rel_tol=br_rel_tol,
-                    on_error=on_error,
+                    on_error=on_error, prior=nominal_border.resistance,
                     surrogate=tier.prior_view() if tier is not None
                     else None)
                 per_value[value] = border
@@ -196,7 +202,8 @@ def optimize_defect(defect: Defect | DefectKind, *,
     stressed_border = find_border_resistance(model, defect,
                                              stress=stressed,
                                              rel_tol=br_rel_tol,
-                                             on_error=on_error)
+                                             on_error=on_error,
+                                             prior=nominal_border.resistance)
 
     # 5. stressed detection condition, derived inside the newly-failing
     #    range (between the stressed and nominal borders when possible)

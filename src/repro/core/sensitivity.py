@@ -97,20 +97,25 @@ def stress_sensitivity(
         kinds=tuple(StressKind),
         base: StressConditions = NOMINAL_STRESS,
         rel_tol: float = 0.04) -> SensitivityReport:
-    """Finite-difference BR sensitivities over the specified ST ranges."""
+    """Finite-difference BR sensitivities over the specified ST ranges.
+
+    The nominal BR seeds each low and high search: same borders, fewer
+    probes.
+    """
     model = model_factory(defect, base)
 
-    def border_at(sc: StressConditions) -> float | None:
-        result = find_border_resistance(model, defect, stress=sc,
-                                        rel_tol=rel_tol)
-        return result.resistance if result.found else None
+    def border_at(sc: StressConditions,
+                  prior: float | None = None) -> float | None:
+        return find_border_resistance(model, defect, stress=sc,
+                                      rel_tol=rel_tol,
+                                      prior=prior).resistance
 
     br_nominal = border_at(base)
     out: dict[StressKind, StressSensitivity] = {}
     for kind in kinds:
         rng = STRESS_RANGES[kind]
-        br_low = border_at(base.with_value(kind, rng.low))
-        br_high = border_at(base.with_value(kind, rng.high))
+        br_low = border_at(base.with_value(kind, rng.low), br_nominal)
+        br_high = border_at(base.with_value(kind, rng.high), br_nominal)
         out[kind] = StressSensitivity(kind, defect, br_low, br_nominal,
                                       br_high)
     return SensitivityReport(defect, out)

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.behav import behavioral_model
-from repro.core import StressKind
+from repro.core import NOMINAL_STRESS, StressKind, find_border_resistance
+from repro.core import montecarlo
 from repro.core.montecarlo import (
     DirectionRobustness,
     VariationSpec,
+    _mc_sample_task,
     direction_robustness,
 )
 from repro.defects import Defect, DefectKind
@@ -80,6 +82,47 @@ class TestRobustnessReport:
                                  kinds=(StressKind.TCYC,), samples=3,
                                  seed=5)
         assert a.border_samples == b.border_samples
+
+
+def _bits(border):
+    r = border.resistance
+    return (None if r is None else r.hex(), border.always_faulty,
+            border.never_faulty)
+
+
+class TestSeededSamples:
+    def test_seeded_borders_equal_unseeded(self, monkeypatch):
+        """Each sample's nominal border seeds both ST extremes'
+        searches, on the serial path and in the pool task; every seeded
+        border equals a search from scratch, bit for bit."""
+        seeded = []
+
+        def recording(model, defect, *, prior=None, **kwargs):
+            border = find_border_resistance(model, defect, prior=prior,
+                                            **kwargs)
+            if prior is not None:
+                seeded.append((model, kwargs, prior, border))
+            return border
+
+        monkeypatch.setattr(montecarlo, "find_border_resistance",
+                            recording)
+        defect = Defect(DefectKind.O3)
+        kinds = tuple(StressKind)
+        report = direction_robustness(_factory, defect, kinds=kinds,
+                                      samples=2, seed=11)
+        tech = VariationSpec().sample(default_tech(),
+                                      np.random.default_rng(3))
+        task_border, _, _ = _mc_sample_task(
+            (tech, _factory, defect, NOMINAL_STRESS, kinds, 0.08,
+             "raise"))
+
+        assert len(seeded) == 3 * len(kinds) * 2
+        assert {prior for _, _, prior, _ in seeded} == \
+            set(report.border_samples) | {task_border}
+        for model, kwargs, _, border in seeded:
+            fresh = find_border_resistance(model, defect, prior=None,
+                                           **kwargs)
+            assert _bits(border) == _bits(fresh), kwargs["stress"]
 
 
 class TestDirectionRobustnessMath:

@@ -1,16 +1,22 @@
 """Full optimization flow (behavioral backend)."""
 
+import functools
+
 import pytest
 
+from repro.behav import behavioral_model
 from repro.core import (
     NOMINAL_STRESS,
     StressKind,
+    find_border_resistance,
     optimize_all_defects,
     optimize_defect,
     probe_resistance,
 )
 from repro.analysis.border import BorderResult
 from repro.defects import Defect, DefectKind, Placement
+from repro.engine import BatchExecutor, ResultCache
+from repro.experiments.figures import make_model
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +153,57 @@ class TestElectricalSpotCheck:
                                     br_rel_tol=0.2)
         assert row.nominal_border.resistance == pytest.approx(
             behav_row.nominal_border.resistance, rel=0.6)
+
+
+def _bits(border: BorderResult) -> tuple:
+    r = border.resistance
+    return (None if r is None else r.hex(), border.always_faulty,
+            border.never_faulty)
+
+
+#: The e2e benchmark's ``table1-resume`` base SC at seed 1: Vdd and T
+#: moved slightly off nominal.
+SEED1_BASE = NOMINAL_STRESS.with_(vdd=2.396876046654325,
+                                  temp_c=26.376697910064607)
+
+
+class TestSeededSearches:
+    """A row's tie-break and stressed BR searches start from its nominal
+    BR; the prior only saves probes, never moves a border."""
+
+    # Each base SC with the sequences its 14-row table simulated on a
+    # fresh memory engine before the searches were seeded.
+    @pytest.fixture(scope="class",
+                    params=[(NOMINAL_STRESS, 3730), (SEED1_BASE, 4390)],
+                    ids=["nominal", "seed1"])
+    def run(self, request):
+        base, unseeded_misses = request.param
+        engine = BatchExecutor(cache=ResultCache(), workers=1)
+        factory = functools.partial(make_model, backend="behavioral",
+                                    engine=engine)
+        table = optimize_all_defects(model_factory=factory,
+                                     base_stress=base)
+        return base, table, engine.stats.misses, unseeded_misses
+
+    def test_borders_equal_unseeded_searches(self, run):
+        base, table, _, _ = run
+        assert len(table.rows) == 14
+        for row in table.rows:
+            model = behavioral_model(row.defect, stress=base)
+
+            def fresh(sc):
+                return _bits(find_border_resistance(
+                    model, row.defect, stress=sc, rel_tol=0.05,
+                    prior=None))
+
+            for kind, per_value in row.tiebreak_borders.items():
+                for value, border in per_value.items():
+                    assert _bits(border) == fresh(
+                        base.with_value(kind, value)), \
+                        (row.defect.name, kind, value)
+            assert _bits(row.stressed_border) == fresh(
+                row.stressed_conditions), row.defect.name
+
+    def test_table_simulates_fewer_sequences(self, run):
+        _, _, misses, unseeded_misses = run
+        assert misses < unseeded_misses

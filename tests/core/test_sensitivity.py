@@ -3,7 +3,12 @@
 import pytest
 
 from repro.behav import behavioral_model
-from repro.core import StressKind
+from repro.core import (
+    NOMINAL_STRESS,
+    STRESS_RANGES,
+    StressKind,
+    find_border_resistance,
+)
 from repro.core.sensitivity import (
     SensitivityReport,
     StressSensitivity,
@@ -84,3 +89,30 @@ class TestShortPolarity:
         if s.defined:
             # Table 1: T ↑ for Sg; its border (fails-low) must grow hot
             assert s.favours_high is True
+
+
+class TestSeededSearches:
+    @pytest.mark.parametrize("kind", [DefectKind.O3, DefectKind.SG])
+    def test_borders_equal_unseeded_searches(self, kind):
+        """The nominal BR seeds each ST's low and high search; every
+        border equals a search from scratch, bit for bit."""
+        defect = Defect(kind)
+        report = stress_sensitivity(_factory, defect)
+        model = _factory(defect, NOMINAL_STRESS)
+
+        def bits(r):
+            return None if r is None else r.hex()
+
+        def fresh(sc):
+            return bits(find_border_resistance(model, defect, stress=sc,
+                                               rel_tol=0.04,
+                                               prior=None).resistance)
+
+        assert len(report.sensitivities) == len(StressKind)
+        for st, s in report.sensitivities.items():
+            rng = STRESS_RANGES[st]
+            assert bits(s.br_nominal) == fresh(NOMINAL_STRESS)
+            assert bits(s.br_low) == fresh(
+                NOMINAL_STRESS.with_value(st, rng.low)), st
+            assert bits(s.br_high) == fresh(
+                NOMINAL_STRESS.with_value(st, rng.high)), st

@@ -77,6 +77,7 @@ class TestContentHash:
     def test_cycles_counts_operations(self):
         assert _request().cycles == 4
         assert _request(ops="r0").cycles == 1
+        assert _request(ops="w1^6 w0 r0 r0").cycles == 9
 
 
 class TestRequestObject:

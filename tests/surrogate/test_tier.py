@@ -140,6 +140,37 @@ class TestServeBr:
         assert tier.serve_br(defect, NOMINAL_STRESS) is not None
 
 
+class TestPriorPrecedence:
+    @pytest.mark.parametrize("estimate, seeded", [(1.2e5, 1.2e5),
+                                                 (None, 3.4e5)])
+    def test_tier_estimate_first_then_callers_prior(
+            self, defect, stats, monkeypatch, estimate, seeded):
+        """Under a tier, its estimate for the queried SC seeds the
+        electrical search; a caller's prior (a Table-1 row's nominal
+        BR) seeds it only when the tier has no estimate."""
+        import repro.core.border as core_border
+
+        priors = []
+
+        def search(model, *, prior, **kwargs):
+            priors.append(prior)
+            return _border()
+
+        class ElectricalModel:
+            backend = "electrical"
+
+            def set_stress(self, stress):
+                self.stress = stress
+
+        monkeypatch.setattr(core_border, "border_resistance", search)
+        tier = SurrogateTier("prior", stats=stats)
+        monkeypatch.setattr(tier, "br_prior", lambda *a, **k: estimate)
+        core_border.find_border_resistance(
+            ElectricalModel(), defect, stress=NOMINAL_STRESS,
+            prior=3.4e5, surrogate=tier)
+        assert priors == [seeded]
+
+
 class TestServeDirection:
     def test_prior_mode_never_serves(self, defect, stats):
         tier = SurrogateTier("prior", stats=stats)
