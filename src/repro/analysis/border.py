@@ -290,6 +290,17 @@ def log_lattice(rel_tol: float) -> Lattice:
     return Lattice(split, shift)
 
 
+def linear_lattice(tol: float) -> Lattice:
+    """Midpoint halving down to leaves no wider than ``tol``."""
+    def split(lo: float, hi: float) -> float | None:
+        return 0.5 * (lo + hi) if hi - lo > tol else None
+
+    def shift(x: float, lo: float, hi: float, k: float) -> float:
+        return x + k * (hi - lo)
+
+    return Lattice(split, shift)
+
+
 #: Grid-index halving down to adjacent indices.
 GRID_LATTICE = Lattice(
     split=lambda a, b: (a + b) // 2 if b - a > 1 else None,

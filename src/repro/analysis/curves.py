@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.analysis.border import bisect_lattice, linear_lattice
 from repro.analysis.interface import ColumnModel, stored_level
 from repro.diagnostics import diagnostics
 from repro.dram.ops import Op, Operation, format_ops
@@ -57,12 +58,8 @@ def sense_threshold(model: ColumnModel, *, lo: float = 0.0,
     if bit_lo == bit_hi:
         return None
     # Reads are monotone in the stored voltage: low -> 0, high -> 1.
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if read_bit(mid) == 1:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect_lattice(linear_lattice(tol), lo, hi,
+                            lambda vc, _lo, _hi: read_bit(vc) == 1)
     return 0.5 * (lo + hi)
 
 

@@ -19,10 +19,14 @@ Policy, mirroring the PR 3 ``use_kernels`` convention:
   transcendentals (see DESIGN.md section 5d);
 * there is **no in-batch bisection**: a lane whose Newton fails is
   first retried with a *continuation warm start* (initial guess copied
-  from its nearest already-converged sweep neighbour), and if that also
-  fails it is **isolated** — dropped from the batch and left for the
-  caller to re-run on the legacy per-lane path with its full rescue
-  ladder, so one pathological ``Rop`` cannot poison the batch.
+  from its nearest already-converged sweep neighbour), then re-solved
+  by *damped full Newton* from its own last accepted state (a fresh
+  Jacobian every pass, as the serial kernel iterates — the chord loop
+  can cycle where Newton converges, e.g. on the read after a weak
+  write), and if that also fails it is **isolated** — dropped from the
+  batch and left for the caller to re-run on the legacy per-lane path
+  with its full rescue ladder, so one pathological ``Rop`` cannot
+  poison the batch.
 """
 
 from __future__ import annotations
@@ -551,7 +555,8 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
     (one idle state per lane).  All lanes share the
     breakpoint-augmented time grid of the scalar kernel path
     (:func:`~repro.spice.transient._build_grid`); there is no in-batch
-    step bisection — see the module docstring for the failure policy.
+    step bisection — see the module docstring for the failure policy
+    (continuation retry, full-Newton rung, isolation).
 
     ``warm`` optionally supplies cross-batch continuation state (a
     :class:`LaneWarmBank` view): when a failing lane has no converged
@@ -583,7 +588,8 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
     x2 = x0.astype(float, copy=True)
     alive = np.ones(n_lanes, dtype=bool)
     counters = {"lanes_launched": n_lanes, "lanes_isolated": 0,
-                "lane_continuation_hits": 0, "lane_transients": 1}
+                "lane_continuation_hits": 0, "lane_full_newton_hits": 0,
+                "lane_transients": 1}
     data = np.zeros((n_lanes, len(grid), num_nodes))
     data[:, 0] = x2[:, :num_nodes]
 
@@ -665,6 +671,17 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
                         counters["lane_continuation_hits"] += \
                             int(rescued.size)
                         bad = np.setdiff1d(bad, rescued)
+                if bad.size:
+                    # Last rung: damped full Newton from the lane's own
+                    # last accepted state, as the serial kernel iterates
+                    # (a chord loop can cycle where Newton converges).
+                    x_full, fail3 = solve_lanes(
+                        lanes, A_step[bad], b_step[bad], x2[bad], bad,
+                        temp_c=temp_c, full=True)
+                    x_cand[bad[~fail3]] = x_full[~fail3]
+                    counters["lane_full_newton_hits"] += \
+                        int((~fail3).sum())
+                    bad = bad[fail3]
                 if bad.size:
                     alive[bad] = False
                     counters["lanes_isolated"] += int(bad.size)

@@ -178,7 +178,9 @@ class System:
         bl = [0.0] * (size + 1)
         if dyn is not None:
             dyn.stamp_rhs_loop(bl, ctx.dt, ctx.method, ctx.x_prev)
-        self.plans.sources.apply_loop(bl, ctx.time)
+        sources = self.plans.sources
+        sources.apply_loop(bl, ctx.time,
+                           ctx.sources or sources.snapshot())
         b[:] = bl[:size]
         return b
 

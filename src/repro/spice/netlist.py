@@ -229,9 +229,13 @@ class AnalysisContext:
         Solution at the previous accepted time point.
     method:
         Integration method: ``"be"`` (backward Euler) or ``"trap"``.
+    sources:
+        The analysis's :meth:`~repro.spice.plans.SourcePlan.snapshot` of
+        the source waveforms, taken once per transient; ``None`` makes
+        each step-rhs assembly take a fresh one.
     """
 
-    __slots__ = ("time", "dt", "temp_c", "x", "x_prev", "method")
+    __slots__ = ("time", "dt", "temp_c", "x", "x_prev", "method", "sources")
 
     def __init__(self, time=0.0, dt=None, temp_c=27.0, x=None, x_prev=None,
                  method="be"):
@@ -241,6 +245,7 @@ class AnalysisContext:
         self.x = x
         self.x_prev = x_prev
         self.method = method
+        self.sources = None
 
 
 class Stamper:

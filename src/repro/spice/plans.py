@@ -44,6 +44,7 @@ from repro.spice.devices import (
 )
 from repro.spice.mosfet import _EXP_CLAMP as _MOS_EXP_CLAMP
 from repro.spice.mosfet import Mosfet, mosfet_curves_vec
+from repro.spice.waveforms import Constant
 
 
 class UnsupportedStamp(Exception):
@@ -376,7 +377,8 @@ def _scatter_lanes(target2: np.ndarray, idx, vals2: np.ndarray) -> None:
 class SourcePlan:
     """Pre-resolved rhs targets for independent sources.
 
-    Waveforms are read through the *device* at evaluation time, so
+    Waveforms are read through the *device* — at evaluation time by
+    :meth:`apply`, at :meth:`snapshot` time for :meth:`apply_loop` — so
     reprogramming a source's waveform between analyses (the DRAM runner
     does this every cycle) needs no recompilation.
     """
@@ -397,19 +399,47 @@ class SourcePlan:
                 if rn >= 0:
                     b[rn] += val
 
-    def apply_loop(self, bl: list, t: float) -> None:
-        """List variant of :meth:`apply` for the scalar step-rhs path.
+    def snapshot(self) -> tuple:
+        """The sources' present waveforms, resolved for :meth:`apply_loop`.
+
+        Returns ``(v_entries, i_entries)``, each in entry order: a
+        voltage source as ``(value, level, row)``, a current source as
+        ``(value, level, row_p, row_n)``.  A DC waveform is its plain
+        float ``level`` (``value`` is None); any other is its bound
+        ``value`` method.  A snapshot is stale once a waveform is
+        reprogrammed, so every analysis takes its own
+        (:attr:`~repro.spice.netlist.AnalysisContext.sources`).
+        """
+        v_entries = []
+        i_entries = []
+        for entry in self.entries:
+            wave = entry[1].waveform
+            src = ((None, wave.level) if type(wave) is Constant
+                   else (wave.value, None))
+            if entry[0] == "v":
+                v_entries.append(src + (entry[2],))
+            else:
+                i_entries.append(src + (entry[2], entry[3]))
+        return tuple(v_entries), tuple(i_entries)
+
+    @staticmethod
+    def apply_loop(bl: list, t: float, snapshot: tuple) -> None:
+        """List variant of :meth:`apply` for the scalar step-rhs path,
+        walking a :meth:`snapshot`.
 
         ``bl`` carries a trailing scrap slot; a ground row stored as
-        ``-1`` lands on it (the last element) instead of branching.
+        ``-1`` lands on it (the last element) instead of branching.  A
+        voltage source's branch row takes no other source's stamp and a
+        current source stamps node rows only, so walking the voltage
+        entries first keeps every row's accumulation order.
         """
-        for entry in self.entries:
-            if entry[0] == "v":
-                bl[entry[2]] += entry[1].waveform.value(t)
-            else:
-                val = entry[1].waveform.value(t)
-                bl[entry[2]] -= val
-                bl[entry[3]] += val
+        v_entries, i_entries = snapshot
+        for value, level, row in v_entries:
+            bl[row] += level if value is None else value(t)
+        for value, level, rp, rn in i_entries:
+            val = level if value is None else value(t)
+            bl[rp] -= val
+            bl[rn] += val
 
 
 def compile_sources(devices, num_nodes: int) -> SourcePlan | None:
@@ -463,12 +493,16 @@ class NonlinearPlan:
         self._A_idx_norm = np.full(n_A, size * size, dtype=np.intp)
         self._A_idx_swap = np.full(n_A, size * size, dtype=np.intp)
         self._A_sign = np.empty(n_A)
-        self._A_swap_owner = np.zeros(n_A, dtype=bool)  # mosfet-owned slots
         self._b_idx = np.full(n_b, size, dtype=np.intp)
         mos_A_pos = np.empty((n_mos, 8), dtype=np.intp)
         mos_b_pos = np.empty((n_mos, 2), dtype=np.intp)
         di_A_pos = np.empty((n_di, 4), dtype=np.intp)
         di_b_pos = np.empty((n_di, 2), dtype=np.intp)
+        # Scalar-loop staging: gds, gm, s*residual per MOSFET, then gd,
+        # ires per diode, followed by their negated copies; ``expand``
+        # gathers every signed [A | b] slot value from it.
+        n_st = 3 * n_mos + 2 * n_di
+        expand = np.empty(n_A + n_b, dtype=np.intp)
 
         a_cur = b_cur = 0
         i_mos = i_di = 0
@@ -490,8 +524,11 @@ class NonlinearPlan:
                 self._A_idx_norm[sl] = cond + tc_norm
                 self._A_idx_swap[sl] = cond + tc_swap
                 self._A_sign[sl] = _MOS_SIGNS
-                self._A_swap_owner[sl] = True
                 mos_b_pos[i_mos] = (b_cur, b_cur + 1)
+                j = 3 * i_mos
+                jn = j + n_st
+                expand[sl] = (j, j, jn, jn, j + 1, jn + 1, jn + 1, j + 1)
+                expand[n_A + b_cur:n_A + b_cur + 2] = (j + 2, jn + 2)
                 self._b_idx[b_cur] = _scrap_row(d, size)
                 self._b_idx[b_cur + 1] = _scrap_row(s, size)
                 a_cur += 8
@@ -507,6 +544,10 @@ class NonlinearPlan:
                 self._A_idx_swap[sl] = self._A_idx_norm[sl]
                 self._A_sign[sl] = _DIODE_SIGNS
                 di_b_pos[i_di] = (b_cur, b_cur + 1)
+                j = 3 * n_mos + 2 * i_di
+                jn = j + n_st
+                expand[sl] = (j, j, jn, jn)
+                expand[n_A + b_cur:n_A + b_cur + 2] = (jn + 1, j + 1)
                 self._b_idx[b_cur] = _scrap_row(a, size)
                 self._b_idx[b_cur + 1] = _scrap_row(c, size)
                 a_cur += 4
@@ -514,9 +555,7 @@ class NonlinearPlan:
                 i_di += 1
 
         self._mos_A_pos = mos_A_pos
-        self._mos_b_pos = mos_b_pos
         self._di_A_pos = di_A_pos
-        self._di_b_pos = di_b_pos
 
         # --- combined scatter layout -----------------------------------
         # The target buffer is one contiguous scratch laid out as
@@ -558,10 +597,13 @@ class NonlinearPlan:
         # Swap-pattern cache, keyed by an int bitmask (scalar loop) or a
         # bool tuple (array pass) — the key spaces cannot collide.
         self._swap_idx_cache: dict = {}
-        # Persistent value staging for the scalar loop; every slot is
-        # rewritten on every call, so reuse is safe.
-        self._qa = [0.0] * n_A
-        self._vb = [0.0] * n_b
+        # Persistent staging buffer [values | negated values] for the
+        # scalar loop; every element is rewritten on every call.
+        stage = np.empty(2 * n_st)
+        self._stage = stage
+        self._stage_pos = stage[:n_st]
+        self._stage_neg = stage[n_st:]
+        self._expand = expand
 
         # residual-form (chord) lane kernel: one fused terminal gather
         # through a zero-padded iterate (ground -> pad column ``size``)
@@ -615,13 +657,11 @@ class NonlinearPlan:
         mos_meta = tuple(
             (int(self._mos_d[i]), int(self._mos_g[i]), int(self._mos_s[i]),
              float(self._mos_pol[i]), float(beta[i]), float(nvt[i]),
-             float(vth[i]), float(lam[i]), int(self._mos_A_pos[i, 0]),
-             int(self._mos_b_pos[i, 0]))
+             float(vth[i]), float(lam[i]), 1 << i)
             for i in range(len(self.mosfets)))
         di_meta = tuple(
             (int(self._di_a[i]), int(self._di_c[i]), float(di_isat[i]),
-             float(di_vt[i]), int(self._di_A_pos[i, 0]),
-             int(self._di_b_pos[i, 0]))
+             float(di_vt[i]))
             for i in range(len(self.diodes)))
         cached = (mos_meta, di_meta)
         if len(self._loop_cache) > 16:
@@ -675,26 +715,28 @@ class NonlinearPlan:
         (:func:`~repro.spice.mosfet.mosfet_curves`, :meth:`Diode.iv`)
         operation for operation, so the scattered values are bitwise
         those of the vectorized kernel and of the legacy stamp walk.
-        The slot signs are folded into the written values (negation is
-        exact), saving the sign-vector multiply of the array path.
+        The loop stages only the distinct values (gds, gm, s*residual
+        per MOSFET; gd, ires per diode); one precompiled gather from
+        ``[values | -values]`` expands them to the signed slot values
+        (negation is exact), saving the sign-vector multiply of the
+        array path.
         """
         mos_meta, di_meta = self._loop_meta(temp_c)
         xl = x.tolist()
         xl.append(0.0)  # ground sentinel: index -1 reads 0 V branch-free
-        qa = self._qa
-        vb = self._vb
+        st = []
+        put = st.append
         mask = 0
         exp = math.exp
         log1p = math.log1p
-        for k, (di, gi, si, p, be, nv, vt, la, a0, b0) in \
-                enumerate(mos_meta):
+        for (di, gi, si, p, be, nv, vt, la, bit) in mos_meta:
             vd = xl[di]
             vg = xl[gi]
             vs = xl[si]
             if p * (vd - vs) < 0.0:
                 vnd = vs
                 vns = vd
-                mask |= 1 << k
+                mask |= bit
                 s = 1.0
             else:
                 vnd = vd
@@ -725,18 +767,10 @@ class NonlinearPlan:
                 gm = be * veff * clm * sg
                 gds = hb * la
                 i_real = p * (hb * clm)
-            residual = i_real - gds * (vnd - vns) - gm * (vg - vns)
-            qa[a0] = gds
-            qa[a0 + 1] = gds
-            qa[a0 + 2] = -gds
-            qa[a0 + 3] = -gds
-            qa[a0 + 4] = gm
-            qa[a0 + 5] = -gm
-            qa[a0 + 6] = -gm
-            qa[a0 + 7] = gm
-            vb[b0] = s * residual
-            vb[b0 + 1] = -s * residual
-        for (ai, ci, isat, dvt, a0, b0) in di_meta:
+            put(gds)
+            put(gm)
+            put(s * (i_real - gds * (vnd - vns) - gm * (vg - vns)))
+        for (ai, ci, isat, dvt) in di_meta:
             v = xl[ai] - xl[ci]
             arg = v / dvt
             if arg > _DIODE_EXP_CLAMP:
@@ -744,19 +778,12 @@ class NonlinearPlan:
             e = exp(arg)
             i = isat * (e - 1.0)
             gd = isat * e / dvt
-            ires = i - gd * v
-            qa[a0] = gd
-            qa[a0 + 1] = gd
-            qa[a0 + 2] = -gd
-            qa[a0 + 3] = -gd
-            vb[b0] = -ires
-            vb[b0 + 1] = ires
-        quant = self._quant
-        n_A = self._n_A
-        quant[:n_A] = qa
-        quant[n_A:] = vb
+            put(gd)
+            put(i - gd * v)
+        self._stage_pos[:] = st
+        np.negative(self._stage_pos, out=self._stage_neg)
         idx = self._swap_AB_idx_mask(mask) if mask else self._AB_idx_norm
-        np.add.at(flat, idx, quant)
+        np.add.at(flat, idx, self._stage[self._expand])
 
     def _apply_vec(self, flat: np.ndarray, x: np.ndarray,
                    temp_c: float) -> None:

@@ -210,7 +210,8 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
                        temp_c: float, max_iter: int = 100,
                        vtol: float = DEFAULT_VTOL,
                        vstep_max: float = DEFAULT_VSTEP_MAX,
-                       shrink: float = MODIFIED_NEWTON_SHRINK
+                       shrink: float = MODIFIED_NEWTON_SHRINK,
+                       full: bool = False
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Masked batched quasi-Newton over stacked same-topology systems.
 
@@ -231,7 +232,9 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
     step's nonlinear system, reuse affects only the convergence path,
     not the solution (within ``vtol`` — part of the lane kernel's
     documented fp tolerance).  Damping and the ``dv_max < vtol`` test
-    match :func:`newton_solve` per lane.
+    match :func:`newton_solve` per lane.  ``full=True`` refactors every
+    lane on every pass instead: the damped full Newton of the serial
+    kernel, the lane driver's last rung before it isolates a lane.
 
     Returns ``(x, failed)``: the stacked solutions and a boolean mask
     over batch rows that did not converge (their rows hold the last
@@ -263,7 +266,8 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
     vtol = vtol * LANE_VTOL_FACTOR
     gidx = lane_idx[active]
     for _ in range(max_iter):
-        stale = ~M_valid[gidx]
+        stale = np.ones(active.size, dtype=bool) if full \
+            else ~M_valid[gidx]
         if stale.any():
             # Full Jacobian assembly only for the lanes that refactor;
             # their next update is then an exact Newton step.
@@ -322,7 +326,8 @@ def newton_solve_lanes_sparse(lanes, A_step: np.ndarray,
                               temp_c: float, max_iter: int = 100,
                               vtol: float = DEFAULT_VTOL,
                               vstep_max: float = DEFAULT_VSTEP_MAX,
-                              shrink: float = MODIFIED_NEWTON_SHRINK
+                              shrink: float = MODIFIED_NEWTON_SHRINK,
+                              full: bool = False
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Masked batched quasi-Newton over stacked same-pattern CSR systems.
 
@@ -333,10 +338,11 @@ def newton_solve_lanes_sparse(lanes, A_step: np.ndarray,
     factorizations instead of explicit inverses — one symbolic analysis,
     reused for every lane and every refactorization.  The chord
     iteration, branch-free damping, converged-lane dropout,
-    stagnation-triggered refactorization and ``(x, failed)`` contract
-    all mirror the dense kernel; the only structural differences are the
-    batched CSR matvec for the residual and a per-lane ``lu.solve`` for
-    the update (SuperLU has no batched triangular solve).
+    stagnation-triggered refactorization, the ``full`` rung and the
+    ``(x, failed)`` contract all mirror the dense kernel; the only
+    structural differences are the batched CSR matvec for the residual
+    and a per-lane ``lu.solve`` for the update (SuperLU has no batched
+    triangular solve).
 
     SuperLU reports some singular systems by returning non-finite
     solutions rather than raising, so the stagnation test also treats a
@@ -373,7 +379,8 @@ def newton_solve_lanes_sparse(lanes, A_step: np.ndarray,
     dv_prev = np.full(n_batch, np.inf)
     vtol = vtol * LANE_VTOL_FACTOR
     for _ in range(max_iter):
-        stale = ~M_valid[gidx]
+        stale = np.ones(active.size, dtype=bool) if full \
+            else ~M_valid[gidx]
         if stale.any():
             A_full, _ = lanes.build_iteration_sparse(
                 A_act[stale], b_act[stale], x_act[stale], temp_c)

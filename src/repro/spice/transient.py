@@ -267,14 +267,17 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         # resolution threads a backend object into the solves.
         resolved = resolve_backend(backend, system)
         backend_obj = resolved if resolved.sparse else None
-        result = _run_kernel_loop(system, circuit, grid, x, dt_floor,
-                                  temp_c, method, node_names, num_nodes,
-                                  backend_obj)
-    else:
-        result = _run_legacy_loop(system, grid, x, dt_floor, temp_c,
-                                  method, node_names, num_nodes)
-    system.flush_kernel_counters()
-    return result
+    # A stalled transient's counters count too: its caller may drop the
+    # system before another transient would flush them.
+    try:
+        if fast:
+            return _run_kernel_loop(system, circuit, grid, x, dt_floor,
+                                    temp_c, method, node_names, num_nodes,
+                                    backend_obj)
+        return _run_legacy_loop(system, grid, x, dt_floor, temp_c,
+                                method, node_names, num_nodes)
+    finally:
+        system.flush_kernel_counters()
 
 
 def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
@@ -300,6 +303,8 @@ def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
     linear = not system.has_nonlinear
     ctx = AnalysisContext(time=0.0, dt=None, temp_c=temp_c, x=x,
                           x_prev=x, method=method)
+    # Waveforms hold still for one transient: resolve them once.
+    ctx.sources = system.plans.sources.snapshot()
     diag = diagnostics()
     timers = diag if diag.timing else None
 

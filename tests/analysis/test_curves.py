@@ -46,6 +46,45 @@ class TestSenseThreshold:
         out = model.run_sequence("r", init_vc=v + 0.1).outputs[0]
         assert out == 0   # stored high on blc = logical 0
 
+    @pytest.mark.parametrize("kind, placement, resistance, tol", [
+        (DefectKind.O3, Placement.TRUE, 200e3, 0.01),
+        (DefectKind.O3, Placement.COMP, 150e3, 0.005),
+        (DefectKind.O1, Placement.TRUE, 120e3, 0.008),
+        (DefectKind.B1, Placement.TRUE, 200e3, 0.1),
+        (DefectKind.SV, Placement.COMP, 2e6, 0.02),
+    ])
+    def test_probes_the_midpoint_bisection_exactly(self, kind, placement,
+                                                   resistance, tol):
+        """On the linear lattice the search reads the same cell voltages
+        as a plain midpoint bisection and returns its value bit for
+        bit."""
+        model = behavioral_model(Defect(kind, placement, resistance))
+        probes = []
+        run = model.run_sequence
+
+        def recording(ops, init_vc, background=0):
+            probes.append(init_vc)
+            return run(ops, init_vc=init_vc, background=background)
+
+        model.run_sequence = recording
+        got = sense_threshold(model, tol=tol)
+        searched, probes[:] = list(probes), []
+
+        def bit(vc):
+            out = recording("r", init_vc=vc).outputs[0]
+            return out if placement is Placement.TRUE else 1 - out
+
+        lo, hi = 0.0, model.stress.vdd
+        assert bit(lo) != bit(hi)
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if bit(mid) == 1:
+                hi = mid
+            else:
+                lo = mid
+        assert got.hex() == (0.5 * (lo + hi)).hex()
+        assert searched == probes
+
 
 class TestVsaCurve:
     def test_descends_with_resistance(self, model):

@@ -127,6 +127,24 @@ class TestLaneIsolation:
         assert counters["lane_continuation_hits"] >= 1
         assert all(seq is not None for seq in lanes)
 
+    @pytest.mark.parametrize("resistances", [
+        (1.0e6, 1.1e6), (3.0e6, 3.3e6), (1.0e6, 3.3e6, 200e3)])
+    def test_read_after_weak_write_stays_in_the_batch(self, resistances):
+        """Regression: the read after a weak ``w1`` stalls the chord
+        loop, which used to isolate these lanes; the full-Newton rung
+        keeps them in the batch, within the tolerance of the per-lane
+        path."""
+        init_vcs = [0.0] * len(resistances)
+        lanes, counters = _lane_results(resistances, init_vcs, "w1 r1")
+        assert counters["lanes_isolated"] == 0
+        assert counters["lane_full_newton_hits"] >= 1
+        legacy = _legacy_results(resistances, init_vcs, "w1 r1")
+        for lane_seq, legacy_seq in zip(lanes, legacy):
+            assert lane_seq is not None
+            assert np.allclose(lane_seq.vc_after, legacy_seq.vc_after,
+                               atol=LANE_TOL, rtol=0.0)
+            assert lane_seq.outputs == legacy_seq.outputs
+
 
 class TestLaneRunnerSurface:
     def test_stress_update_revalues_lanes(self):

@@ -7,10 +7,13 @@ class and compare the assembled matrices of the two paths exactly, for
 both nonlinear evaluation kernels (fused scalar loop and array pass).
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dram.column import DefectSite, build_column
 from repro.spice import (
     Capacitor,
     Circuit,
@@ -25,6 +28,7 @@ from repro.spice import (
 )
 from repro.spice.mna import System
 from repro.spice.netlist import AnalysisContext, Device
+from repro.spice.mosfet import _EXP_CLAMP as MOS_EXP_CLAMP
 from repro.spice.plans import compile_nonlinear, compile_sources
 
 NODE_NAMES = ("0", "a", "b", "c", "d")
@@ -135,6 +139,65 @@ class TestAssemblyParity:
         A_it_f, b_it_f = sys_f.build_iteration(A_f, b_f, ctx)
         assert np.array_equal(A_it_p, A_it_f)
         assert np.array_equal(b_it_p, b_it_f)
+
+
+@functools.lru_cache(maxsize=None)
+def _column_plan(kind: str):
+    """The compiled nonlinear plan of the paper column with a ``kind``
+    defect on cell 0 (24 MOSFETs and 4 diodes)."""
+    netlist = build_column(defect=DefectSite(kind, 0, 100e3))
+    return System(netlist.circuit, use_plans=True).plans.nonlinear
+
+
+#: Column iterates: below ground to above Vdd, so that source/drain
+#: swaps and both MOSFET exponential clamps occur.
+column_volts = st.floats(-0.5, 3.0, allow_nan=False)
+
+
+class TestColumnLoopKernel:
+    """The fused scalar loop on the real column plans (below
+    ``VEC_CROSSOVER``, the loop every column transient takes)."""
+
+    @pytest.mark.parametrize("kind", ["open_sn", "bridge_bl"])
+    def test_column_plan_shape(self, kind):
+        nl = _column_plan(kind)
+        assert (len(nl.mosfets), len(nl.diodes)) == (24, 4)
+        assert not nl._use_vec
+
+    @given(kind=st.sampled_from(["open_sn", "bridge_bl"]),
+           data=st.data(),
+           temp_c=st.sampled_from([-33.0, 27.0, 87.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_loop_matches_vec_bitwise(self, kind, data, temp_c):
+        nl = _column_plan(kind)
+        x = np.array(data.draw(st.lists(column_volts, min_size=nl.size,
+                                        max_size=nl.size)))
+        flat_loop = np.zeros(nl.size * nl.size + nl.size + 2)
+        flat_vec = np.zeros_like(flat_loop)
+        nl._apply_loop(flat_loop, x, temp_c)
+        nl._apply_vec(flat_vec, x, temp_c)
+        assert np.array_equal(flat_loop, flat_vec)
+
+    def test_draws_reach_swaps_and_both_clamps(self):
+        """The property's voltage range exercises every branch of the
+        loop: swapped MOSFETs and both softplus clamps."""
+        nl = _column_plan("open_sn")
+        _, nvt, vth, _, _, _ = nl._temp_params(27.0)
+        pol = nl._mos_pol
+        rng = np.random.default_rng(0)
+        swaps = 0
+        u_all = []
+        for _ in range(20):
+            # trailing 0 V: the ground index -1 reads it
+            x = np.append(rng.uniform(-0.5, 3.0, nl.size), 0.0)
+            vd, vg, vs = x[nl._mos_d], x[nl._mos_g], x[nl._mos_s]
+            swap = pol * (vd - vs) < 0.0
+            swaps += int(swap.sum())
+            vns = np.where(swap, vd, vs)
+            u_all.append((pol * (vg - vns) - vth) / nvt)
+        u = np.concatenate(u_all)
+        assert swaps > 0
+        assert u.max() > MOS_EXP_CLAMP and u.min() < -MOS_EXP_CLAMP
 
 
 class TestCompilerFallbacks:

@@ -284,3 +284,54 @@ class TestKernelParity:
         r2 = transient(c, 3e-9, 0.1e-9, system=system,
                        initial={"o": 2.4, "vdd": 2.4})
         _compare(r1, r2, bitwise=True)
+
+    def test_reprogrammed_waveforms_reach_the_next_transient(self):
+        """Each transient resolves the source waveforms afresh: after a
+        DC level and a PWL are replaced, a reused system still equals a
+        fresh one bit for bit."""
+        from repro.spice.mna import System
+        c = _inverter()
+        c.finalize()
+        system = System(c, use_plans=True)
+        programs = [
+            (Constant(2.4), PWL([(0, 0.0), (1e-9, 0.0), (2e-9, 2.4)])),
+            (Constant(2.1), PWL([(0, 2.1), (1.5e-9, 2.1), (2.5e-9, 0.3)])),
+        ]
+        kw = dict(tstop=4e-9, dt=0.1e-9, initial={"o": 2.4, "vdd": 2.4})
+        results = []
+        for vdd, vin in programs:
+            c["VDD"].waveform = vdd
+            c["VIN"].waveform = vin
+            reused = transient(c, system=system, **kw)
+            _compare(reused, transient(c, **kw), bitwise=True)
+            results.append(reused)
+        assert results[0].final("o") != results[1].final("o")
+
+
+class TestStalledTransient:
+    def test_kernel_counters_reach_the_registry(self, monkeypatch):
+        """A transient that stalls still folds its kernel counters into
+        the run diagnostics before the error propagates (the DRAM runner
+        drops the system at its next defect change)."""
+        from repro.diagnostics import reset_diagnostics
+        real = transient_module.newton_solve
+
+        def stall(system, A_step, b_step, ctx, x0, **kw):
+            if ctx.time > 5e-9:
+                raise ConvergenceError("injected", iterations=1)
+            return real(system, A_step, b_step, ctx, x0, **kw)
+
+        def no_rescue(*args, **kw):
+            raise ConvergenceError("injected", iterations=1)
+
+        monkeypatch.setattr(transient_module, "newton_solve", stall)
+        monkeypatch.setattr(transient_module, "gmin_step_solve", no_rescue)
+        diag = reset_diagnostics()
+        try:
+            with pytest.raises(ConvergenceError, match="stalled"):
+                transient(_inverter(), 12e-9, 0.1e-9,
+                          initial={"o": 2.4, "vdd": 2.4})
+            assert diag.counts.get("kernel.plan_iteration_assembly", 0) > 0
+            assert diag.counts.get("kernel.step_matrix_build", 0) > 0
+        finally:
+            reset_diagnostics()
