@@ -18,8 +18,10 @@ memoization rather than parallelism: on an engine-backed model
 repeated border searches — the quick direction analysis, tie-breaks and
 full-plane generation all probe overlapping points — skip resimulation.
 The probe battery keeps its short-circuit semantics (later sequences are
-not simulated once one detects a fault), matching the hand-rolled search
-cycle for cycle on a cold cache.
+not simulated once one detects a fault) and runs shortest first: its
+verdict is an ``any`` over deterministic sequences, so the order decides
+what a probe costs, never what it answers — unless a sequence raises,
+which another order might have skipped.
 """
 
 from __future__ import annotations
@@ -32,31 +34,45 @@ from repro.analysis.interface import ColumnModel, opposite_rail_init
 from repro.dram.ops import parse_ops
 from repro.spice.errors import SpiceError
 
-#: Operation sequences probed by the default fault predicate.  The pair
-#: covers both data polarities; the saturating charge prefix follows the
-#: paper's "two w1 are necessary ... " observation generalised to heavy
-#: stress (Fig. 6 needs even more).
+#: Operation sequences probed by the default fault predicate, in the
+#: order it runs them.  Each pair covers both data polarities; the
+#: saturating charge prefix follows the paper's "two w1 are necessary
+#: ... " observation generalised to heavy stress (Fig. 6 needs more).
 DEFAULT_PROBE_SEQUENCES = (
-    "w1^6 w0 r0 r0",
-    "w0^6 w1 r1 r1",
     "w1 r1 r1 r1",
     "w0 r0 r0 r0",
+    "w1^6 w0 r0 r0",
+    "w0^6 w1 r1 r1",
 )
+
+
+def battery_walk(sequences: Sequence[str]
+                 ) -> Callable[[ColumnModel], bool]:
+    """Build ``detects(model)``: does any of ``sequences``, each from
+    the rail opposing its first write, detect a fault on ``model`` as
+    staged?  It walks them by cycle count (stable sort) and stops at the
+    first detection."""
+    battery = sorted((parse_ops(s) for s in sequences), key=len)
+
+    def detects(model: ColumnModel) -> bool:
+        for ops in battery:
+            init = opposite_rail_init(model, ops)
+            if model.run_sequence(ops, init_vc=init).any_fault:
+                return True
+        return False
+
+    return detects
 
 
 def default_fault_predicate(model: ColumnModel,
                             sequences: Sequence[str] = DEFAULT_PROBE_SEQUENCES
                             ) -> Callable[[float], bool]:
     """Build ``faulty(R)`` running a battery of detection sequences."""
-    parsed = [parse_ops(s) for s in sequences]
+    detects = battery_walk(sequences)
 
     def faulty(resistance: float) -> bool:
         model.set_defect_resistance(resistance)
-        for ops in parsed:
-            init = opposite_rail_init(model, ops)
-            if model.run_sequence(ops, init_vc=init).any_fault:
-                return True
-        return False
+        return detects(model)
 
     return faulty
 

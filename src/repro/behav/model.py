@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from repro.stress import NOMINAL_STRESS, StressConditions
 from repro.defects.catalog import Defect
 from repro.dram.column import DefectSite
-from repro.dram.ops import Op, Operation, OpResult, SequenceResult, parse_ops
+from repro.dram.ops import (Op, Operation, OpResult, SequenceResult,
+                            run_memoized)
 from repro.dram.tech import TechnologyParams, default_tech
 from repro.dram import timing
 from repro.spice.devices import thermal_voltage
@@ -129,17 +130,22 @@ class BehavioralColumn:
         self.defect = defect
         self.calibration = calibration or BehavCalibration()
         self.record = record  # accepted for interface parity (unused)
+        self._prefixes: dict = {}
 
     # ------------------------------------------------------------------
     # configuration (mirrors ColumnRunner)
     # ------------------------------------------------------------------
     def set_stress(self, stress: StressConditions) -> None:
-        self.stress = stress
+        if stress != self.stress:
+            self.stress = stress
+            self._prefixes.clear()
 
     def set_defect_resistance(self, resistance: float) -> None:
         if self.defect is None:
             raise ValueError("this column has no injected defect")
-        self.defect = self.defect.with_resistance(resistance)
+        if resistance != self.defect.resistance:
+            self.defect = self.defect.with_resistance(resistance)
+            self._prefixes.clear()
 
     @property
     def target_on_true(self) -> bool:
@@ -328,15 +334,9 @@ class BehavioralColumn:
 
     def run_sequence(self, ops, init_vc: float, background: int = 0
                      ) -> SequenceResult:
-        if isinstance(ops, str):
-            ops = parse_ops(ops)
-        ops = [Op.parse(o) if isinstance(o, str) else o for o in ops]
-        state = self.idle_state(init_vc, background=background)
-        results = []
-        for op in ops:
-            result, state = self.run_op(op, state)
-            results.append(result)
-        return SequenceResult(ops=ops, results=results)
+        """Interface parity, prefix memo included
+        (:func:`~repro.dram.ops.run_memoized`)."""
+        return run_memoized(self, self._prefixes, ops, init_vc, background)
 
 
 def behavioral_model(defect: Defect | None = None,

@@ -29,7 +29,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.analysis.interface import ColumnModel, opposite_rail_init
+from repro.analysis.border import battery_walk
+from repro.analysis.interface import ColumnModel
 from repro.analysis.planes import log_grid
 from repro.core.stresses import (
     NOMINAL_STRESS,
@@ -38,16 +39,15 @@ from repro.core.stresses import (
     StressKind,
 )
 from repro.defects.catalog import ALL_DEFECTS, Defect
-from repro.dram.ops import parse_ops
 from repro.engine import BatchExecutor, ResultCache, default_engine, \
     parallel_map, set_default_engine
 
-#: Probe battery used to score SCs.  Besides the border-search family it
-#: includes delay (nop) variants that sensitise retention-flavoured
-#: defects — those prefer *longer* cycles, which is what creates the
-#: per-defect conflicts the aggregate SC cannot satisfy.
-PROBE_SEQUENCES = ("w1^4 w0 r0", "w0^4 w1 r1", "w1 r1 r1", "w0 r0 r0",
-                   "w1 nop^3 r1", "w0 nop^3 r0")
+#: Probe battery used to score SCs, in the order it runs.  Besides the
+#: border-search family it includes delay (nop) variants that sensitise
+#: retention-flavoured defects — those prefer *longer* cycles, which is
+#: what creates the per-defect conflicts the aggregate SC cannot satisfy.
+PROBE_SEQUENCES = ("w1 r1 r1", "w0 r0 r0", "w1 nop^3 r1", "w0 nop^3 r0",
+                   "w1^4 w0 r0", "w0^4 w1 r1")
 
 
 def corner_combinations(kinds: Sequence[StressKind] = tuple(StressKind),
@@ -108,13 +108,7 @@ def sample_population(defects: Sequence[Defect] = ALL_DEFECTS,
     return population
 
 
-def _detects(model: ColumnModel) -> bool:
-    for text in PROBE_SEQUENCES:
-        ops = parse_ops(text)
-        init = opposite_rail_init(model, ops)
-        if model.run_sequence(ops, init_vc=init).any_fault:
-            return True
-    return False
+_detects = battery_walk(PROBE_SEQUENCES)
 
 
 @dataclass

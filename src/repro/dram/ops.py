@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.diagnostics import diagnostics
+
 
 class Operation(enum.Enum):
     """A single-cycle memory operation on the target cell.
@@ -184,3 +186,45 @@ class SequenceResult:
             flag = "!" if r.detected_fault else ""
             parts.append(f"{r.op}{bit}{flag}(Vc={r.vc_end:.2f})")
         return " ".join(parts)
+
+
+def run_memoized(model, memo: dict, ops, init_vc: float,
+                 background: int = 0) -> SequenceResult:
+    """Apply ``ops`` (a string or a list of ops) to ``model`` from a
+    fresh idle state, through ``model.run_op`` — the ``run_sequence`` of
+    every single-lane model.
+
+    ``memo`` is the model's trie of the prefixes it simulated,
+    ``{(init_vc.hex(), background): {op: (OpResult, state after op,
+    children)}}``; a sequence resumes from its longest prefix in it
+    (counted as ``sequence.reused_cycles``), bit for bit a fresh run
+    since every cycle is deterministic.  It holds for one defect
+    resistance and one SC: the model clears it when either changes
+    value.
+    """
+    if isinstance(ops, str):
+        ops = parse_ops(ops)
+    ops = [Op.parse(o) if isinstance(o, str) else o for o in ops]
+    # hex() keeps 0.0 and -0.0 apart: they are equal keys but may end a
+    # cycle with differently signed voltages.
+    node = memo.setdefault((float(init_vc).hex(), int(background)), {})
+    results: list[OpResult] = []
+    state = None
+    for op in ops:
+        entry = node.get(op)
+        if entry is None:
+            break
+        result, state, node = entry
+        results.append(result)
+    if results:
+        diagnostics().count("sequence.reused_cycles", len(results))
+    if state is None:
+        state = model.idle_state(init_vc, background=background)
+    for op in ops[len(results):]:
+        # A copy: the behavioral run_op updates its state in place, and
+        # a memoized state must stay as its cycle left it.
+        result, state = model.run_op(op, dict(state))
+        entry = node[op] = (result, state, {})
+        node = entry[2]
+        results.append(result)
+    return SequenceResult(ops=ops, results=results)

@@ -13,7 +13,8 @@ import numpy as np
 from repro.stress import NOMINAL_STRESS, StressConditions
 from repro.dram.column import (DEFECT_DEVICE, ColumnNetlist, DefectSite,
                                build_column)
-from repro.dram.ops import Op, Operation, OpResult, SequenceResult, parse_ops
+from repro.dram.ops import (Op, Operation, OpResult, SequenceResult,
+                             parse_ops, run_memoized)
 from repro.dram.tech import TechnologyParams, default_tech
 from repro.dram.timing import plan_cycle
 from repro.spice.errors import NetlistError
@@ -90,18 +91,24 @@ class ColumnRunner:
         self.netlist: ColumnNetlist = build_column(self.tech, defect)
         self._sn = self.netlist.storage_node(target_cell)
         self._system: System | None = None
+        self._prefixes: dict = {}
 
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
     def set_stress(self, stress: StressConditions) -> None:
-        self.stress = stress
+        if stress != self.stress:
+            self.stress = stress
+            self._prefixes.clear()
 
     def set_defect_resistance(self, resistance: float) -> None:
+        if resistance == self.netlist.defect_resistance:
+            return
         self.netlist.set_defect_resistance(resistance)
         # The device value changed in place: compiled stamp plans and the
         # step-matrix/factorization caches are stale, so rebuild lazily.
         self._system = None
+        self._prefixes.clear()
 
     @property
     def defect(self) -> DefectSite | None:
@@ -170,20 +177,14 @@ class ColumnRunner:
 
     def run_sequence(self, ops, init_vc: float, background: int = 0
                      ) -> SequenceResult:
-        """Apply a whole operation sequence from a fresh idle state.
+        """Apply a whole operation sequence from a fresh idle state,
+        resuming from the longest prefix already simulated at this
+        resistance and SC (:func:`~repro.dram.ops.run_memoized`).
 
         ``ops`` may be a string (``"w1 w1 w0 r0"``), or a list of
         :class:`Op`.
         """
-        if isinstance(ops, str):
-            ops = parse_ops(ops)
-        ops = [Op.parse(o) if isinstance(o, str) else o for o in ops]
-        state = self.idle_state(init_vc, background=background)
-        results = []
-        for op in ops:
-            result, state = self.run_op(op, state)
-            results.append(result)
-        return SequenceResult(ops=ops, results=results)
+        return run_memoized(self, self._prefixes, ops, init_vc, background)
 
 
 def _lane_system(lanes: LaneSystem | None, system: System,
@@ -387,18 +388,24 @@ class ArrayRunner:
         self._victim_idx = self.victim[0] * self.cols + self.victim[1]
         self._sn = self.netlist.storage_node(*self.victim)
         self._system: System | None = None
+        self._prefixes: dict = {}
 
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
     def set_stress(self, stress: StressConditions) -> None:
-        self.stress = stress
+        if stress != self.stress:
+            self.stress = stress
+            self._prefixes.clear()
 
     def set_defect_resistance(self, resistance: float) -> None:
+        if resistance == self.netlist.defect_resistance:
+            return
         self.netlist.set_defect_resistance(resistance)
         # Values changed in place: compiled plans/factorizations are
         # stale, so the system is rebuilt lazily.
         self._system = None
+        self._prefixes.clear()
 
     @property
     def defect(self) -> DefectSite | None:
@@ -509,16 +516,9 @@ class ArrayRunner:
 
     def run_sequence(self, ops, init_vc: float, background: int = 0
                      ) -> SequenceResult:
-        """Apply a whole cycle sequence from a fresh idle state."""
-        if isinstance(ops, str):
-            ops = parse_ops(ops)
-        ops = [Op.parse(o) if isinstance(o, str) else o for o in ops]
-        state = self.idle_state(init_vc, background=background)
-        results = []
-        for op in ops:
-            result, state = self.run_op(op, state)
-            results.append(result)
-        return SequenceResult(ops=ops, results=results)
+        """Apply a whole cycle sequence from a fresh idle state (prefix
+        memo as in :meth:`ColumnRunner.run_sequence`)."""
+        return run_memoized(self, self._prefixes, ops, init_vc, background)
 
 
 class ArrayLaneRunner:

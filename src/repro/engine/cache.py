@@ -40,7 +40,9 @@ from repro.store.sharded import ShardedStore, StoreStats
 class EngineStats:
     """Hit/miss and cycle accounting of one cache (or engine) lifetime.
 
-    ``cycles_simulated`` counts the operation cycles actually executed;
+    ``cycles_simulated`` counts the operation cycles of the requests
+    simulated (a model's op-prefix memo answers some of them, counted as
+    ``sequence.reused_cycles`` in the run diagnostics);
     ``cycles_saved`` the cycles that cache hits avoided — together they
     quantify the memoization win (the paper's cost metric is operation
     cycles, see :class:`repro.analysis.interface.CycleCountingModel`).

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.behav import BehavCalibration, behavioral_model
 from repro.defects import Defect, DefectKind, Placement
+from repro.diagnostics import diagnostics
+from repro.experiments.figures import FIG6_STRESS
 from repro.stress import NOMINAL_STRESS
 
 
@@ -154,3 +156,89 @@ class TestProperties:
         model.set_defect_resistance(r * 2)
         vc_2r = model.run_sequence("w0", init_vc=2.4).vc_after[0]
         assert vc_2r >= vc_r - 1e-6
+
+
+def _bits(seq):
+    return [(r.vc_end.hex(), r.sensed) for r in seq.results]
+
+
+#: Operation strings over every token the models accept.
+_OPS = st.lists(st.sampled_from(["w0", "w1", "r", "r0", "r1", "nop"]),
+                min_size=1, max_size=5)
+
+
+class TestPrefixMemo:
+    """``run_sequence`` resumes from the longest prefix it already
+    simulated at the current resistance and SC, bit for bit a fresh
+    run."""
+
+    def test_shared_first_write_is_not_simulated_again(self, o3):
+        fresh = behavioral_model(Defect(DefectKind.O3, resistance=200e3))
+        expected = _bits(fresh.run_sequence("w1^6 w0 r0 r0", init_vc=0.0))
+        o3.run_sequence("w1 r1 r1 r1", init_vc=0.0)
+        before = diagnostics().counts.get("sequence.reused_cycles", 0)
+        got = o3.run_sequence("w1^6 w0 r0 r0", init_vc=0.0)
+        assert diagnostics().counts["sequence.reused_cycles"] - before == 1
+        assert _bits(got) == expected
+        assert [str(r.op) for r in got.results] == \
+            ["w1"] * 6 + ["w0", "r0", "r0"]
+
+    def test_restaging_invalidates_the_memo(self, o3):
+        ops = "w1 w1 w0 r0 r0"
+
+        def fresh(resistance, stress):
+            model = behavioral_model(
+                Defect(DefectKind.O3, resistance=resistance), stress=stress)
+            return _bits(model.run_sequence(ops, init_vc=0.0))
+
+        assert _bits(o3.run_sequence(ops, init_vc=0.0)) == \
+            fresh(200e3, NOMINAL_STRESS)
+        o3.set_defect_resistance(300e3)
+        assert _bits(o3.run_sequence(ops, init_vc=0.0)) == \
+            fresh(300e3, NOMINAL_STRESS)
+        o3.set_defect_resistance(200e3)
+        assert _bits(o3.run_sequence(ops, init_vc=0.0)) == \
+            fresh(200e3, NOMINAL_STRESS)
+        o3.set_stress(FIG6_STRESS)
+        assert _bits(o3.run_sequence(ops, init_vc=0.0)) == \
+            fresh(200e3, FIG6_STRESS)
+        o3.set_stress(NOMINAL_STRESS)
+        assert _bits(o3.run_sequence(ops, init_vc=0.0)) == \
+            fresh(200e3, NOMINAL_STRESS)
+
+    def test_restaging_an_equal_value_keeps_the_memo(self, o3):
+        o3.run_sequence("w1 r1", init_vc=0.0)
+        o3.set_defect_resistance(200e3)
+        o3.set_stress(NOMINAL_STRESS.with_(vdd=2.4))
+        before = diagnostics().counts.get("sequence.reused_cycles", 0)
+        o3.run_sequence("w1 r1", init_vc=0.0)
+        assert diagnostics().counts["sequence.reused_cycles"] - before == 2
+
+    @given(st.lists(_OPS, min_size=1, max_size=4),
+           _OPS,
+           st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.2, 2.4]),
+                              st.floats(-0.2, 2.7)),
+                    min_size=1, max_size=2),
+           st.integers(0, 1),
+           st.sampled_from([DefectKind.O2, DefectKind.O3, DefectKind.SG,
+                            DefectKind.B1]))
+    @settings(max_examples=40, deadline=None)
+    def test_memoized_runs_equal_fresh_runs(self, tails, stem, inits,
+                                            background, kind):
+        """Sequences sharing a stem, from a few initial voltages, on one
+        reused model equal a fresh model's runs bit for bit."""
+        defect = Defect(kind, resistance=150e3)
+        memo = behavioral_model(defect)
+        before = diagnostics().counts.get("sequence.reused_cycles", 0)
+        for tail in tails:
+            for ops in (stem + tail, stem, tail):
+                for init_vc in inits:
+                    want = behavioral_model(defect).run_sequence(
+                        ops, init_vc=init_vc, background=background)
+                    got = memo.run_sequence(ops, init_vc=init_vc,
+                                            background=background)
+                    assert _bits(got) == _bits(want), (ops, init_vc)
+                    assert [r.op for r in got.results] == \
+                        [r.op for r in want.results]
+        # ``stem`` alone always replays the first ``stem + tail``.
+        assert diagnostics().counts["sequence.reused_cycles"] > before

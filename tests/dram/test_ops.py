@@ -10,6 +10,7 @@ from repro.dram.ops import (
     SequenceResult,
     format_ops,
     parse_ops,
+    run_memoized,
 )
 
 
@@ -116,3 +117,34 @@ class TestResults:
         seq = SequenceResult(ops=parse_ops("r0"),
                              results=[self._read_result(0, 1)])
         assert "!" in seq.describe()
+
+
+class _Echo:
+    """A model whose cycles report the state they start from and count
+    themselves into it, in place."""
+
+    def idle_state(self, vc_target, background=0):
+        return {"vc": vc_target, "n": 10 * background}
+
+    def run_op(self, op, state):
+        state["n"] += 1
+        return OpResult(op=op, vc_end=state["vc"], sensed=state["n"]), state
+
+
+class TestRunMemoized:
+    def test_resumes_from_the_longest_simulated_prefix(self):
+        model, memo = _Echo(), {}
+        run_memoized(model, memo, "w1 r1 r1", init_vc=0.0)
+        seq = run_memoized(model, memo, "w1 r1 w0 r0", init_vc=0.0)
+        # The in-place state update of the first run did not leak into
+        # the memoized state the second run resumed from.
+        assert seq.outputs == [1, 2, 3, 4]
+        assert [str(r.op) for r in seq.results] == ["w1", "r1", "w0", "r0"]
+
+    def test_keys_apart_what_a_fresh_run_tells_apart(self):
+        model, memo = _Echo(), {}
+        run_memoized(model, memo, "r", init_vc=0.0)
+        assert run_memoized(model, memo, "r", init_vc=-0.0) \
+            .results[0].vc_end.hex() == (-0.0).hex()
+        assert run_memoized(model, memo, "r", init_vc=0.0,
+                            background=1).outputs == [11]

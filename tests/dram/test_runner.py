@@ -7,9 +7,11 @@ tests plus the agreement suite.
 
 import pytest
 
+from repro.experiments.figures import FIG6_STRESS
 from repro.stress import NOMINAL_STRESS
 from repro.dram import ColumnRunner
 from repro.dram.column import DefectSite
+from repro.dram.runner import ArrayRunner
 
 
 class TestHealthyOperation:
@@ -110,3 +112,75 @@ class TestStateHandling:
         state = r.idle_state(0.0, background=1)
         assert state["sn2"] == pytest.approx(2.4)   # true cell stores 1
         assert state["sn1"] == pytest.approx(0.0)   # comp cell inverted
+
+
+def _bits(seq):
+    return [(r.vc_end.hex(), r.sensed) for r in seq.results]
+
+
+def _column(resistance=200e3, stress=NOMINAL_STRESS):
+    return ColumnRunner(defect=DefectSite("open_sn", 0, resistance),
+                        stress=stress)
+
+
+def _array(resistance=200e3, stress=NOMINAL_STRESS):
+    return ArrayRunner(defect=DefectSite("open_sn", 0, resistance),
+                       stress=stress, geometry=(2, 2), trim="off")
+
+
+def _simulated(runner) -> list[str]:
+    """The ops ``runner`` simulates from now on, in order."""
+    simulated = []
+    run_op = runner.run_op
+
+    def counted(op, state):
+        simulated.append(str(op))
+        return run_op(op, state)
+
+    runner.run_op = counted
+    return simulated
+
+
+class TestPrefixMemo:
+    """``run_sequence`` resumes from the longest prefix already simulated
+    at the current resistance and SC, bit for bit a fresh run."""
+
+    def test_shared_first_write_is_not_simulated_again(self):
+        expected = _bits(_column().run_sequence("w1^6 w0 r0 r0",
+                                                init_vc=0.0))
+        runner = _column()
+        runner.run_sequence("w1 r1 r1 r1", init_vc=0.0)
+        simulated = _simulated(runner)
+        got = runner.run_sequence("w1^6 w0 r0 r0", init_vc=0.0)
+        assert _bits(got) == expected
+        assert simulated == ["w1"] * 5 + ["w0", "r0", "r0"]
+
+    @pytest.mark.parametrize("make, ops, init_vc",
+                             [(_column, "w1 r1", 0.0),
+                              (_array, "r nop r", 2.4)],
+                             ids=["column", "array"])
+    def test_restaging_invalidates_the_memo(self, make, ops, init_vc):
+        stagings = [(200e3, NOMINAL_STRESS), (1e6, NOMINAL_STRESS),
+                    (200e3, NOMINAL_STRESS), (200e3, FIG6_STRESS),
+                    (200e3, NOMINAL_STRESS)]
+        fresh = {staging: _bits(make(*staging).run_sequence(
+            ops, init_vc=init_vc)) for staging in set(stagings)}
+        assert len(set(map(tuple, fresh.values()))) == 3
+        runner = make()
+        for resistance, stress in stagings:
+            runner.set_defect_resistance(resistance)
+            runner.set_stress(stress)
+            got = runner.run_sequence(ops, init_vc=init_vc)
+            assert _bits(got) == fresh[(resistance, stress)], \
+                (resistance, stress)
+
+    def test_equal_restaging_keeps_the_system_and_the_memo(self):
+        runner = _column()
+        runner.run_sequence("w1", init_vc=0.0)
+        system = runner._system
+        runner.set_defect_resistance(200e3)
+        runner.set_stress(NOMINAL_STRESS.with_(vdd=2.4))
+        simulated = _simulated(runner)
+        runner.run_sequence("w1", init_vc=0.0)
+        assert runner._system is system
+        assert simulated == []
