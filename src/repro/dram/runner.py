@@ -1,9 +1,20 @@
-"""Operation-level driver of the electrical column model.
+"""Operation-level drivers of the electrical DRAM models.
 
-:class:`ColumnRunner` owns a built column netlist and applies ``w0``/``w1``/
-``r`` cycles to a target cell, carrying the full node state from cycle to
-cycle — the electrical-simulation workhorse behind every result plane in
-the paper.
+A runner applies ``w0``/``w1``/``r``/``nop`` cycles to a target cell of
+a built netlist (the paper's column, or an R×C array), carrying the
+full node state from cycle to cycle — the electrical-simulation
+workhorse behind every result plane in the paper.
+
+Four entry points share two bodies.  :class:`CycleRunner` is the serial
+cycle body of :class:`ColumnRunner` and :class:`ArrayRunner`;
+:class:`LaneLoop` runs one sequence over many ``Rop`` lanes of a serial
+*template* runner for :class:`LaneRunner` and :class:`ArrayLaneRunner`.
+The four names stay because the end-to-end benchmark binds them: its
+trace wraps each class's own ``__init__`` and ``run_sequence(s)`` (and
+``transient`` / ``lane_transient`` as globals of this module), and its
+workloads construct ``ColumnRunner`` and ``LaneRunner``.  One runner
+class waits until that harness binds layer roles instead (ROADMAP, "Let
+the benchmark follow refactors").
 """
 
 from __future__ import annotations
@@ -21,45 +32,107 @@ from repro.spice.errors import NetlistError
 from repro.spice.lanes import (LaneSystem, LaneWarmBank, lane_transient,
                                make_lane_system)
 from repro.spice.mna import System
-from repro.spice.transient import kernels_enabled, transient
+from repro.spice.transient import (TransientResult, kernels_enabled,
+                                   transient)
 from repro.spice.waveforms import Constant, Pulse
 
 
-def column_idle_state(netlist: ColumnNetlist, tech: TechnologyParams,
-                      stress: StressConditions, target_cell: int,
-                      vc_target: float,
-                      background: int = 0) -> dict[str, float]:
-    """Node voltages of a quiescent column before the first cycle.
+class CycleRunner:
+    """The serial cycle body of :class:`ColumnRunner` and
+    :class:`ArrayRunner`.
 
-    ``vc_target`` is the *physical* storage-node voltage of the target
-    cell (the paper's ``Vc``); the other cells hold the logical
-    ``background`` value through the differential write convention.
-    Shared by :class:`ColumnRunner` and :class:`LaneRunner` so both
-    paths start every sequence from the identical state.
+    It owns the staging (stress, defect resistance, the prefix memo of
+    ``run_sequence``, the lazily compiled :class:`System`) and one
+    cycle: stimulus, :func:`transient`, :meth:`observe`.  A topology
+    sets ``netlist``, ``_sn`` (the target's storage node) and
+    ``_recorded`` (label → node of the waveforms kept when ``record``
+    is set), and defines ``idle_state``, ``stimulus(op) -> (waveforms,
+    t_sample)`` and ``sense(res, t_sample) -> bit``.  Each subclass
+    binds :meth:`run_sequence` in its own body too, since the end-to-end
+    trace wraps every class's own attribute.
     """
-    vdd = stress.vdd
-    vpre = tech.vbl_pre(vdd)
-    state = {
-        "blt": vpre, "blc": vpre,
-        "san": vpre, "sap": vpre,
-        "snd_t": tech.v_ref(vdd, stress.temp_c),
-        "snd_c": tech.v_ref(vdd, stress.temp_c),
-        "dx": 0.0, "doutb": vdd, "dout": 0.0,
-        "vdd": vdd, "vref": tech.v_ref(vdd, stress.temp_c),
-        "vpre": vpre,
-    }
-    for i in range(tech.num_wordlines):
-        on_true = i % 2 == 0
-        physical = background if on_true else 1 - background
-        state[f"sn{i}"] = float(physical) * vdd
-    state[netlist.storage_node(target_cell)] = float(vc_target)
-    # Internal defect nodes start at their neighbour's level.
-    if netlist.circuit.has_node(f"s_int{target_cell}"):
-        state[f"s_int{target_cell}"] = float(vc_target)
-    return state
+
+    def __init__(self, tech: TechnologyParams | None,
+                 stress: StressConditions, record: bool):
+        self.tech = tech or default_tech()
+        self.stress = stress
+        self.record = record
+        self._system: System | None = None
+        self._prefixes: dict = {}
+
+    def set_stress(self, stress: StressConditions) -> None:
+        if stress != self.stress:
+            self.stress = stress
+            self._prefixes.clear()
+
+    def set_defect_resistance(self, resistance: float) -> None:
+        if resistance == self.netlist.defect_resistance:
+            return
+        self.netlist.set_defect_resistance(resistance)
+        # The device value changed in place: compiled stamp plans and the
+        # step-matrix/factorization caches are stale, so rebuild lazily.
+        self._system = None
+        self._prefixes.clear()
+
+    @property
+    def defect(self) -> DefectSite | None:
+        return self.netlist.defect
+
+    def run_op(self, op: Op | str, state: dict[str, float],
+               cell: int | None = None
+               ) -> tuple[OpResult, dict[str, float]]:
+        """Apply one operation cycle starting from ``state``.
+
+        ``cell`` (column only) overrides the addressed cell for this
+        cycle — coupling analysis uses this to drive an *aggressor*
+        cell while the defective victim floats.  The reported
+        ``vc_end`` always tracks the runner's target cell.
+
+        Returns the observed :class:`OpResult` and the node state at the
+        end of the cycle (input to the next operation).
+        """
+        if isinstance(op, str):
+            op = Op.parse(op)
+        waves, t_sample = (self.stimulus(op) if cell is None
+                           else self.stimulus(op, cell))
+        self.netlist.set_waveforms(waves)
+        dt = self.stress.tcyc * self.tech.dt_frac
+        if self._system is None and kernels_enabled():
+            self._system = System(self.netlist.circuit)
+        res = transient(self.netlist.circuit, self.stress.tcyc, dt,
+                        temp_c=self.stress.temp_c, initial=state,
+                        system=self._system)
+        return self.observe(op, res, t_sample), res.final_state()
+
+    def observe(self, op: Op, res: TransientResult,
+                t_sample: float | None) -> OpResult:
+        """The :class:`OpResult` of one simulated cycle: the target's
+        end voltage, the sensed bit of a read, and the recorded
+        waveforms when ``record`` is set.  Serial and lane cycles both
+        end here."""
+        sensed = (self.sense(res, t_sample)
+                  if op.operation is Operation.R else None)
+        result = OpResult(op=op, vc_end=res.final(self._sn), sensed=sensed)
+        if self.record:
+            result.times = res.time
+            result.vc = res.v(self._sn)
+            result.extra = {label: res.v(node)
+                            for label, node in self._recorded.items()}
+        return result
+
+    def run_sequence(self, ops, init_vc: float, background: int = 0
+                     ) -> SequenceResult:
+        """Apply a whole operation sequence from a fresh idle state,
+        resuming from the longest prefix already simulated at this
+        resistance and SC (:func:`~repro.dram.ops.run_memoized`).
+
+        ``ops`` may be a string (``"w1 w1 w0 r0"``), or a list of
+        :class:`Op`.
+        """
+        return run_memoized(self, self._prefixes, ops, init_vc, background)
 
 
-class ColumnRunner:
+class ColumnRunner(CycleRunner):
     """Apply operation cycles to one target cell of a (defective) column.
 
     Parameters
@@ -79,48 +152,22 @@ class ColumnRunner:
         on each :class:`OpResult`.
     """
 
+    _recorded = {"blt": "blt", "blc": "blc", "dout": "dout"}
+
     def __init__(self, *, tech: TechnologyParams | None = None,
                  stress: StressConditions = NOMINAL_STRESS,
                  defect: DefectSite | None = None,
                  target_cell: int = 0,
                  record: bool = False):
-        self.tech = tech or default_tech()
-        self.stress = stress
+        super().__init__(tech, stress, record)
         self.target_cell = target_cell
-        self.record = record
         self.netlist: ColumnNetlist = build_column(self.tech, defect)
         self._sn = self.netlist.storage_node(target_cell)
-        self._system: System | None = None
-        self._prefixes: dict = {}
-
-    # ------------------------------------------------------------------
-    # configuration
-    # ------------------------------------------------------------------
-    def set_stress(self, stress: StressConditions) -> None:
-        if stress != self.stress:
-            self.stress = stress
-            self._prefixes.clear()
-
-    def set_defect_resistance(self, resistance: float) -> None:
-        if resistance == self.netlist.defect_resistance:
-            return
-        self.netlist.set_defect_resistance(resistance)
-        # The device value changed in place: compiled stamp plans and the
-        # step-matrix/factorization caches are stale, so rebuild lazily.
-        self._system = None
-        self._prefixes.clear()
-
-    @property
-    def defect(self) -> DefectSite | None:
-        return self.netlist.defect
 
     @property
     def target_on_true(self) -> bool:
         return self.target_cell % 2 == 0
 
-    # ------------------------------------------------------------------
-    # state construction
-    # ------------------------------------------------------------------
     def idle_state(self, vc_target: float,
                    background: int = 0) -> dict[str, float]:
         """Node voltages of a quiescent column before the first cycle.
@@ -129,194 +176,41 @@ class ColumnRunner:
         cell (the paper's ``Vc``); the other cells hold the logical
         ``background`` value through the differential write convention.
         """
-        return column_idle_state(self.netlist, self.tech, self.stress,
-                                 self.target_cell, vc_target,
-                                 background=background)
+        vdd = self.stress.vdd
+        vpre = self.tech.vbl_pre(vdd)
+        v_ref = self.tech.v_ref(vdd, self.stress.temp_c)
+        state = {
+            "blt": vpre, "blc": vpre,
+            "san": vpre, "sap": vpre,
+            "snd_t": v_ref, "snd_c": v_ref,
+            "dx": 0.0, "doutb": vdd, "dout": 0.0,
+            "vdd": vdd, "vref": v_ref,
+            "vpre": vpre,
+        }
+        for i in range(self.tech.num_wordlines):
+            on_true = i % 2 == 0
+            physical = background if on_true else 1 - background
+            state[f"sn{i}"] = float(physical) * vdd
+        state[self._sn] = float(vc_target)
+        # Internal defect nodes start at their neighbour's level.
+        if self.netlist.circuit.has_node(f"s_int{self.target_cell}"):
+            state[f"s_int{self.target_cell}"] = float(vc_target)
+        return state
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def run_op(self, op: Op | str, state: dict[str, float],
-               cell: int | None = None
-               ) -> tuple[OpResult, dict[str, float]]:
-        """Apply one operation cycle starting from ``state``.
+    def stimulus(self, op: Op, cell: int | None = None
+                 ) -> tuple[dict, float | None]:
+        """Control waveforms of one cycle addressed at ``cell`` (the
+        target by default) plus the sense-sample time
+        (:func:`~repro.dram.timing.plan_cycle`)."""
+        plan = plan_cycle(op, self.stress, self.tech,
+                          self.target_cell if cell is None else cell)
+        return plan.waveforms, plan.t_sample
 
-        ``cell`` overrides the addressed cell for this cycle (defaults
-        to the runner's target) — coupling analysis uses this to drive
-        an *aggressor* cell while the defective victim floats.  The
-        reported ``vc_end`` always tracks the runner's target cell.
+    def sense(self, res: TransientResult, t_sample: float) -> int:
+        """A read returns 1 when the data output is above ``Vdd/2``."""
+        return 1 if res.at("dout", t_sample) > 0.5 * self.stress.vdd else 0
 
-        Returns the observed :class:`OpResult` and the node state at the
-        end of the cycle (input to the next operation).
-        """
-        if isinstance(op, str):
-            op = Op.parse(op)
-        addressed = self.target_cell if cell is None else cell
-        plan = plan_cycle(op, self.stress, self.tech, addressed)
-        self.netlist.set_waveforms(plan.waveforms)
-        dt = self.stress.tcyc * self.tech.dt_frac
-        if self._system is None and kernels_enabled():
-            self._system = System(self.netlist.circuit)
-        res = transient(self.netlist.circuit, self.stress.tcyc, dt,
-                        temp_c=self.stress.temp_c, initial=state,
-                        system=self._system)
-        new_state = res.final_state()
-
-        sensed = None
-        if op.operation is Operation.R:
-            sensed = 1 if res.at("dout", plan.t_sample) > 0.5 * \
-                self.stress.vdd else 0
-
-        result = OpResult(op=op, vc_end=res.final(self._sn), sensed=sensed)
-        if self.record:
-            result.times = res.time
-            result.vc = res.v(self._sn)
-            result.extra = {"blt": res.v("blt"), "blc": res.v("blc"),
-                            "dout": res.v("dout")}
-        return result, new_state
-
-    def run_sequence(self, ops, init_vc: float, background: int = 0
-                     ) -> SequenceResult:
-        """Apply a whole operation sequence from a fresh idle state,
-        resuming from the longest prefix already simulated at this
-        resistance and SC (:func:`~repro.dram.ops.run_memoized`).
-
-        ``ops`` may be a string (``"w1 w1 w0 r0"``), or a list of
-        :class:`Op`.
-        """
-        return run_memoized(self, self._prefixes, ops, init_vc, background)
-
-
-def _lane_system(lanes: LaneSystem | None, system: System,
-                 resistances) -> LaneSystem:
-    """``lanes`` re-valued to ``resistances``, or a new lane system over
-    ``system`` when there is none yet."""
-    if lanes is None:
-        return make_lane_system(system, resistances, DEFECT_DEVICE)
-    if lanes.resistances != tuple(float(r) for r in resistances):
-        lanes.set_resistances(resistances)
-    return lanes
-
-
-def _stack_states(circuit, system: System, states) -> np.ndarray:
-    """Initial solution vectors from per-lane node-voltage dicts."""
-    x2 = np.zeros((len(states), system.size))
-    for k, state in enumerate(states):
-        for name, volts in state.items():
-            x2[k, circuit.node(name).index] = float(volts)
-    return x2
-
-
-def _add_batch_counters(counters: dict, batch: dict) -> None:
-    """Sum one lane transient's counters into a sequence's; the launched
-    and converged lanes are counted per sequence, not per batch."""
-    for name, value in batch.items():
-        if name not in ("lanes_launched", "lanes_converged"):
-            counters[name] = counters.get(name, 0) + value
-
-
-class LaneRunner:
-    """Run one operation sequence over many ``Rop`` lanes at once.
-
-    The multi-lane counterpart of :class:`ColumnRunner`: one column
-    netlist, one compiled :class:`System` template, and a
-    :class:`~repro.spice.lanes.LaneSystem` whose per-lane static
-    matrices carry the swept defect resistances.  Lanes that fail the
-    batched Newton loop (after the continuation retry) come back as
-    ``None`` for the caller — typically the batch executor — to re-run
-    on the legacy per-lane path with its full rescue ladder.
-    """
-
-    def __init__(self, *, tech: TechnologyParams | None = None,
-                 stress: StressConditions = NOMINAL_STRESS,
-                 defect_kind: str = "open_sn",
-                 target_cell: int = 0):
-        self.tech = tech or default_tech()
-        self.stress = stress
-        self.target_cell = target_cell
-        # Placeholder resistance: the lanes re-value the device span.
-        defect = DefectSite(kind=defect_kind, cell=target_cell,
-                            resistance=1.0)
-        self.netlist: ColumnNetlist = build_column(self.tech, defect)
-        self._sn = self.netlist.storage_node(target_cell)
-        self._system = System(self.netlist.circuit)
-        self._lanes: LaneSystem | None = None
-
-    def set_stress(self, stress: StressConditions) -> None:
-        self.stress = stress
-
-    def run_sequences(self, ops, lanes_in, background: int = 0
-                      ) -> tuple[list, dict[str, int]]:
-        """Apply one operation sequence to every ``(resistance, init_vc)``
-        lane.
-
-        Returns ``(results, counters)`` where ``results[k]`` is the
-        lane's :class:`SequenceResult`, or ``None`` when that lane was
-        isolated mid-batch, and ``counters`` is the lane bookkeeping for
-        :mod:`repro.diagnostics`.
-        """
-        if isinstance(ops, str):
-            ops = parse_ops(ops)
-        ops = [Op.parse(o) if isinstance(o, str) else o for o in ops]
-        n = len(lanes_in)
-        counters = {"lanes_launched": n, "lanes_isolated": 0,
-                    "lanes_converged": 0, "lane_continuation_hits": 0}
-        # Active lanes, compressed as lanes get isolated: positions into
-        # the caller's lane list.
-        active = list(range(n))
-        states = [
-            column_idle_state(self.netlist, self.tech, self.stress,
-                              self.target_cell, init_vc,
-                              background=background)
-            for _, init_vc in lanes_in]
-        x2 = _stack_states(self.netlist.circuit, self._system, states)
-        per_lane_ops: list[list[OpResult]] = [[] for _ in range(n)]
-
-        dt = self.stress.tcyc * self.tech.dt_frac
-        num_nodes = self._system.num_nodes
-        for op in ops:
-            if not active:
-                break
-            self._lanes = lanes = _lane_system(
-                self._lanes, self._system,
-                [lanes_in[k][0] for k in active])
-            plan = plan_cycle(op, self.stress, self.tech, self.target_cell)
-            self.netlist.set_waveforms(plan.waveforms)
-            batch = lane_transient(lanes, self.stress.tcyc, dt,
-                                   temp_c=self.stress.temp_c,
-                                   method="be", x0=x2)
-            _add_batch_counters(counters, batch.counters)
-            survivors = []
-            x_rows = []
-            for pos, res in zip(active, batch.results):
-                if res is None:
-                    per_lane_ops[pos] = None
-                    continue
-                sensed = None
-                if op.operation is Operation.R:
-                    sensed = 1 if res.at("dout", plan.t_sample) > \
-                        0.5 * self.stress.vdd else 0
-                per_lane_ops[pos].append(
-                    OpResult(op=op, vc_end=res.final(self._sn),
-                             sensed=sensed))
-                survivors.append(pos)
-                x_rows.append(res.final_x)
-            active = survivors
-            if not active:
-                break
-            # Cycle chaining mirrors the per-lane path's final_state()
-            # round trip: node voltages carry over, branch currents
-            # restart at zero.
-            x2 = np.zeros((len(active), self._system.size))
-            for j, row in enumerate(x_rows):
-                x2[j, :num_nodes] = row[:num_nodes]
-
-        counters["lanes_converged"] = len(active)
-        results = [
-            SequenceResult(ops=ops, results=lane_ops)
-            if lane_ops is not None else None
-            for lane_ops in per_lane_ops]
-        return results, counters
+    run_sequence = CycleRunner.run_sequence
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +224,7 @@ ARRAY_PRE_FRAC = 0.2
 ARRAY_EDGE = 0.5e-9
 
 
-class ArrayRunner:
+class ArrayRunner(CycleRunner):
     """Apply activation cycles to one victim cell of an R×C array.
 
     The array-scale counterpart of :class:`ColumnRunner` for the
@@ -369,15 +263,13 @@ class ArrayRunner:
                  halo: int = 1,
                  record: bool = False):
         from repro.dram.trim import default_address, trim_array
+        super().__init__(tech, stress, record)
         rows, cols = geometry
-        self.tech = tech or default_tech()
-        self.stress = stress
         self.rows = int(rows)
         self.cols = int(cols)
         if address is None:
             address = default_address(self.rows, self.cols, defect)
         self.address = (int(address[0]), int(address[1]))
-        self.record = record
         self.netlist = trim_array(self.rows, self.cols, self.tech, defect,
                                   address=self.address, policy=trim,
                                   halo=halo)
@@ -387,38 +279,15 @@ class ArrayRunner:
             self.victim = self.address
         self._victim_idx = self.victim[0] * self.cols + self.victim[1]
         self._sn = self.netlist.storage_node(*self.victim)
-        self._system: System | None = None
-        self._prefixes: dict = {}
-
-    # ------------------------------------------------------------------
-    # configuration
-    # ------------------------------------------------------------------
-    def set_stress(self, stress: StressConditions) -> None:
-        if stress != self.stress:
-            self.stress = stress
-            self._prefixes.clear()
-
-    def set_defect_resistance(self, resistance: float) -> None:
-        if resistance == self.netlist.defect_resistance:
-            return
-        self.netlist.set_defect_resistance(resistance)
-        # Values changed in place: compiled plans/factorizations are
-        # stale, so the system is rebuilt lazily.
-        self._system = None
-        self._prefixes.clear()
-
-    @property
-    def defect(self) -> DefectSite | None:
-        return self.netlist.defect
+        # Head of the accessed bit line: sensed and recorded.
+        self._head = f"bl{self.address[1]}_0"
+        self._recorded = {"bl": self._head}
 
     @property
     def trimmed(self) -> bool:
         """Did the trim layer actually prune this netlist?"""
         return getattr(self.netlist.circuit, "trimmed", False)
 
-    # ------------------------------------------------------------------
-    # state and stimulus
-    # ------------------------------------------------------------------
     def idle_state(self, init_vc: float,
                    background: int = 0) -> dict[str, float]:
         """Node voltages of a quiescent array before the first cycle.
@@ -444,7 +313,7 @@ class ArrayRunner:
             state[f"s_int{self._victim_idx}"] = float(init_vc)
         return state
 
-    def cycle_waveforms(self, op: Op) -> tuple[dict, float]:
+    def stimulus(self, op: Op) -> tuple[dict, float]:
         """Control waveforms for one cycle plus the sense-sample time.
 
         An active (``r``) cycle precharges for ``ARRAY_PRE_FRAC`` of
@@ -453,7 +322,13 @@ class ArrayRunner:
         (tcyc, duty, T through the simulation, Vdd through the rails
         and boosted levels) stresses the array exactly as it does the
         column.  A ``nop`` cycle holds every control low (retention).
+        A write raises :class:`NetlistError`.
         """
+        if op.operation.is_write:
+            raise NetlistError(
+                "the array model has no write path; express array "
+                "workloads with r/nop cycles (initial data comes from "
+                "init_vc/background)")
         tcyc = self.stress.tcyc
         vdd = self.stress.vdd
         vpp = self.tech.vpp(vdd)
@@ -478,57 +353,175 @@ class ArrayRunner:
         t_sample = t_pre + 2.0 * ARRAY_EDGE + t_act
         return waves, t_sample
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def run_op(self, op: Op | str, state: dict[str, float]
-               ) -> tuple[OpResult, dict[str, float]]:
-        """Apply one cycle starting from ``state``."""
-        if isinstance(op, str):
-            op = Op.parse(op)
-        if op.operation.is_write:
-            raise NetlistError(
-                "the array model has no write path; express array "
-                "workloads with r/nop cycles (initial data comes from "
-                "init_vc/background)")
-        waves, t_sample = self.cycle_waveforms(op)
-        self.netlist.set_waveforms(waves)
-        dt = self.stress.tcyc * self.tech.dt_frac
-        if self._system is None and kernels_enabled():
-            self._system = System(self.netlist.circuit)
-        res = transient(self.netlist.circuit, self.stress.tcyc, dt,
-                        temp_c=self.stress.temp_c, initial=state,
-                        system=self._system)
-        new_state = res.final_state()
+    def sense(self, res: TransientResult, t_sample: float) -> int:
+        """A read returns 1 when the accessed bit line's head is above
+        the precharge level."""
+        return 1 if res.at(self._head, t_sample) > \
+            self.tech.vbl_pre(self.stress.vdd) else 0
 
-        sensed = None
-        if op.operation is Operation.R:
-            head = f"bl{self.address[1]}_0"
-            sensed = 1 if res.at(head, t_sample) > \
-                self.tech.vbl_pre(self.stress.vdd) else 0
-
-        result = OpResult(op=op, vc_end=res.final(self._sn), sensed=sensed)
-        if self.record:
-            result.times = res.time
-            result.vc = res.v(self._sn)
-            result.extra = {"bl": res.v(f"bl{self.address[1]}_0")}
-        return result, new_state
-
-    def run_sequence(self, ops, init_vc: float, background: int = 0
-                     ) -> SequenceResult:
-        """Apply a whole cycle sequence from a fresh idle state (prefix
-        memo as in :meth:`ColumnRunner.run_sequence`)."""
-        return run_memoized(self, self._prefixes, ops, init_vc, background)
+    run_sequence = CycleRunner.run_sequence
 
 
-class ArrayLaneRunner:
+class LaneLoop:
+    """The lane loop of :class:`LaneRunner` and :class:`ArrayLaneRunner`.
+
+    Runs one operation sequence over many ``(resistance, init_vc)``
+    lanes of a serial *template* runner built at a placeholder
+    resistance: one compiled :class:`System`, and a
+    :class:`~repro.spice.lanes.LaneSystem` whose per-lane statics carry
+    the swept resistances.  Idle states, stimuli and every converged
+    cycle's :meth:`CycleRunner.observe` come from the template.  Lanes
+    that fail the batched Newton loop come back as ``None`` for the
+    caller — typically the batch executor — to re-run on the serial
+    path with its full rescue ladder.
+    """
+
+    #: Cross-batch warm starts; only :class:`ArrayLaneRunner` keeps one.
+    _bank: LaneWarmBank | None = None
+
+    def __init__(self, template: CycleRunner):
+        self._runner = template
+        self.tech = template.tech
+        self._system = System(template.netlist.circuit)
+        self._lanes: LaneSystem | None = None
+
+    @property
+    def stress(self) -> StressConditions:
+        return self._runner.stress
+
+    def set_stress(self, stress: StressConditions) -> None:
+        if stress != self._runner.stress:
+            self._runner.set_stress(stress)
+            if self._bank is not None:
+                self._bank.clear()
+
+    def run_sequences(self, ops, lanes_in, background: int = 0
+                      ) -> tuple[list, dict[str, int]]:
+        """Apply one operation sequence to every ``(resistance, init_vc)``
+        lane.
+
+        Returns ``(results, counters)`` where ``results[k]`` is the
+        lane's :class:`SequenceResult`, or ``None`` when that lane was
+        isolated mid-batch, and ``counters`` is the lane bookkeeping for
+        :mod:`repro.diagnostics` (plus the warm bank's hits and misses
+        on array lanes).  Each subclass binds this method in its own
+        body too, since the end-to-end trace wraps every class's own
+        attribute.
+        """
+        runner = self._runner
+        bank = self._bank
+        if isinstance(ops, str):
+            ops = parse_ops(ops)
+        ops = [Op.parse(o) if isinstance(o, str) else o for o in ops]
+        # Every cycle's stimulus before the first lane transient: an
+        # array write anywhere in the sequence raises before any lane
+        # simulates.
+        stimuli = [runner.stimulus(op) for op in ops]
+        n = len(lanes_in)
+        counters = {"lanes_launched": n, "lanes_isolated": 0,
+                    "lanes_converged": 0, "lane_continuation_hits": 0}
+        if bank is not None:
+            counters.update(lane_warm_start_hits=0,
+                            lane_warm_start_misses=0)
+        system = self._system
+        circuit = runner.netlist.circuit
+        x2 = np.zeros((n, system.size))
+        for k, (_, init_vc) in enumerate(lanes_in):
+            state = runner.idle_state(init_vc, background=background)
+            for name, volts in state.items():
+                x2[k, circuit.node(name).index] = float(volts)
+        # Active lanes, compressed as lanes get isolated: positions into
+        # the caller's lane list.
+        active = list(range(n))
+        per_lane_ops: list = [[] for _ in range(n)]
+
+        stress = runner.stress
+        dt = stress.tcyc * runner.tech.dt_frac
+        num_nodes = system.num_nodes
+        for oi, (op, (waves, t_sample)) in enumerate(zip(ops, stimuli)):
+            if not active:
+                break
+            resistances = [lanes_in[k][0] for k in active]
+            if self._lanes is None:
+                self._lanes = make_lane_system(system, resistances,
+                                               DEFECT_DEVICE)
+            elif self._lanes.resistances != tuple(
+                    float(r) for r in resistances):
+                self._lanes.set_resistances(resistances)
+            lanes = self._lanes
+            runner.netlist.set_waveforms(waves)
+            warm = None
+            if bank is not None:
+                key = (oi, op.operation)
+                hits, misses = bank.seed(key, lanes)
+                counters["lane_warm_start_hits"] += hits
+                counters["lane_warm_start_misses"] += misses
+                warm = bank.view(key)
+            batch = lane_transient(lanes, stress.tcyc, dt,
+                                   temp_c=stress.temp_c, method="be",
+                                   x0=x2, warm=warm)
+            for name, value in batch.counters.items():
+                # Launched and converged lanes count per sequence, not
+                # per batch.
+                if name not in ("lanes_launched", "lanes_converged"):
+                    counters[name] = counters.get(name, 0) + value
+            survivors, x_rows = [], []
+            for row, (pos, res) in enumerate(zip(active, batch.results)):
+                if res is None:
+                    per_lane_ops[pos] = None
+                    continue
+                if bank is not None:
+                    bank.store(key, lanes, row, res)
+                per_lane_ops[pos].append(runner.observe(op, res, t_sample))
+                survivors.append(pos)
+                x_rows.append(res.final_x)
+            active = survivors
+            # Cycle chaining mirrors the serial path's final_state()
+            # round trip: node voltages carry over, branch currents
+            # restart at zero.
+            x2 = np.zeros((len(active), system.size))
+            for j, row in enumerate(x_rows):
+                x2[j, :num_nodes] = row[:num_nodes]
+
+        counters["lanes_converged"] = len(active)
+        results = [
+            SequenceResult(ops=ops, results=lane_ops)
+            if lane_ops is not None else None
+            for lane_ops in per_lane_ops]
+        return results, counters
+
+
+class LaneRunner(LaneLoop):
+    """Run one column operation sequence over many ``Rop`` lanes at once.
+
+    The multi-lane counterpart of :class:`ColumnRunner`, over a
+    :class:`ColumnRunner` template at a placeholder resistance.  Column
+    lanes keep no warm bank: seeding them from one would change their
+    chord iteration path, so their trajectories could move within the
+    lane tolerance.
+    """
+
+    def __init__(self, *, tech: TechnologyParams | None = None,
+                 stress: StressConditions = NOMINAL_STRESS,
+                 defect_kind: str = "open_sn",
+                 target_cell: int = 0):
+        # Placeholder resistance: the lanes re-value the device span.
+        defect = DefectSite(kind=defect_kind, cell=target_cell,
+                            resistance=1.0)
+        super().__init__(ColumnRunner(tech=tech, stress=stress,
+                                      defect=defect,
+                                      target_cell=target_cell))
+
+    run_sequences = LaneLoop.run_sequences
+
+
+class ArrayLaneRunner(LaneLoop):
     """Run one array cycle sequence over many ``Rop`` lanes at once.
 
-    The array-scale counterpart of :class:`LaneRunner`: one (optionally
-    trimmed) array netlist built around a placeholder defect, one
-    compiled :class:`System` template, and a lane system whose per-lane
-    statics carry the swept defect resistances — dense or sparse
-    depending on what the backend policy resolves for this netlist
+    The array-scale counterpart of :class:`LaneRunner`, over an
+    (optionally trimmed) :class:`ArrayRunner` template built around a
+    placeholder defect.  Its lane system is dense or sparse depending
+    on what the backend policy resolves for this netlist
     (:func:`~repro.spice.lanes.make_lane_system`).  Because the
     template is compiled once, a BR bisection stops paying the
     netlist-build + plan-compile cost per probe that the serial
@@ -552,110 +545,18 @@ class ArrayLaneRunner:
                  trim: str | None = None,
                  record: bool = False):
         defect = DefectSite(kind=defect_kind, cell=cell, resistance=1.0)
-        self._runner = ArrayRunner(tech=tech, stress=stress, defect=defect,
-                                   geometry=geometry, address=address,
-                                   trim=trim, record=record)
-        self.tech = self._runner.tech
-        self.stress = stress
-        self.record = record
-        self._system = System(self._runner.netlist.circuit)
-        self._lanes: LaneSystem | None = None
+        super().__init__(ArrayRunner(tech=tech, stress=stress,
+                                     defect=defect, geometry=geometry,
+                                     address=address, trim=trim,
+                                     record=record))
         self._bank = LaneWarmBank()
+
+    @property
+    def record(self) -> bool:
+        return self._runner.record
 
     @property
     def trimmed(self) -> bool:
         return self._runner.trimmed
 
-    def set_stress(self, stress: StressConditions) -> None:
-        if stress != self.stress:
-            self.stress = stress
-            self._runner.set_stress(stress)
-            self._bank.clear()
-
-    def run_sequences(self, ops, lanes_in, background: int = 0
-                      ) -> tuple[list, dict[str, int]]:
-        """Apply one cycle sequence to every ``(resistance, init_vc)``
-        lane.
-
-        Same contract as :meth:`LaneRunner.run_sequences`: returns
-        ``(results, counters)`` with ``None`` for isolated lanes, which
-        the batch executor re-runs on the serial :class:`ArrayRunner`
-        path.
-        """
-        if isinstance(ops, str):
-            ops = parse_ops(ops)
-        ops = [Op.parse(o) if isinstance(o, str) else o for o in ops]
-        for op in ops:
-            if op.operation.is_write:
-                raise NetlistError(
-                    "the array model has no write path; express array "
-                    "workloads with r/nop cycles (initial data comes "
-                    "from init_vc/background)")
-        runner = self._runner
-        n = len(lanes_in)
-        counters = {"lanes_launched": n, "lanes_isolated": 0,
-                    "lanes_converged": 0, "lane_continuation_hits": 0,
-                    "lane_warm_start_hits": 0, "lane_warm_start_misses": 0}
-        active = list(range(n))
-        states = [runner.idle_state(init_vc, background=background)
-                  for _, init_vc in lanes_in]
-        x2 = _stack_states(runner.netlist.circuit, self._system, states)
-        per_lane_ops: list = [[] for _ in range(n)]
-
-        dt = self.stress.tcyc * self.tech.dt_frac
-        num_nodes = self._system.num_nodes
-        sn = runner._sn
-        head = f"bl{runner.address[1]}_0"
-        vpre = self.tech.vbl_pre(self.stress.vdd)
-        for oi, op in enumerate(ops):
-            if not active:
-                break
-            self._lanes = lanes = _lane_system(
-                self._lanes, self._system,
-                [lanes_in[k][0] for k in active])
-            waves, t_sample = runner.cycle_waveforms(op)
-            runner.netlist.set_waveforms(waves)
-            key = (oi, op.operation)
-            hits, misses = self._bank.seed(key, lanes)
-            counters["lane_warm_start_hits"] += hits
-            counters["lane_warm_start_misses"] += misses
-            batch = lane_transient(lanes, self.stress.tcyc, dt,
-                                   temp_c=self.stress.temp_c,
-                                   method="be", x0=x2,
-                                   warm=self._bank.view(key))
-            _add_batch_counters(counters, batch.counters)
-            survivors = []
-            x_rows = []
-            for row, (pos, res) in enumerate(zip(active, batch.results)):
-                if res is None:
-                    per_lane_ops[pos] = None
-                    continue
-                self._bank.store(key, lanes, row, res)
-                sensed = None
-                if op.operation is Operation.R:
-                    sensed = 1 if res.at(head, t_sample) > vpre else 0
-                result = OpResult(op=op, vc_end=res.final(sn),
-                                  sensed=sensed)
-                if self.record:
-                    result.times = res.time
-                    result.vc = res.v(sn)
-                    result.extra = {"bl": res.v(head)}
-                per_lane_ops[pos].append(result)
-                survivors.append(pos)
-                x_rows.append(res.final_x)
-            active = survivors
-            if not active:
-                break
-            # Cycle chaining mirrors ArrayRunner's final_state() round
-            # trip: node voltages carry over, branch currents restart
-            # at zero.
-            x2 = np.zeros((len(active), self._system.size))
-            for j, row in enumerate(x_rows):
-                x2[j, :num_nodes] = row[:num_nodes]
-
-        counters["lanes_converged"] = len(active)
-        results = [
-            SequenceResult(ops=ops, results=lane_ops)
-            if lane_ops is not None else None
-            for lane_ops in per_lane_ops]
-        return results, counters
+    run_sequences = LaneLoop.run_sequences

@@ -166,7 +166,7 @@ def execute_lane_group(requests: Sequence[SequenceRequest]
     """Run one same-topology group of requests as stacked lanes.
 
     Returns per-request :class:`SequenceResult` slots (``None`` where a
-    lane was isolated and must re-run on the legacy path) plus the lane
+    lane was isolated and must re-run on the serial path) plus the lane
     counters.  Shares :data:`_PROCESS_MODELS` under a ``"lanes"`` key so
     repeated sweeps reuse the built netlist and compiled plans.
     """
@@ -459,7 +459,7 @@ class BatchExecutor:
                         on_error: str) -> list:
         """Execute one lane group, falling back per-lane on trouble.
 
-        Isolated lanes (``None`` slots) re-run on the legacy serial
+        Isolated lanes (``None`` slots) re-run on the serial kernel
         path with its full rescue ladder; an exception from the stacked
         kernel itself demotes the whole group to serial execution — the
         lane kernel is an accelerator, never a new failure mode.

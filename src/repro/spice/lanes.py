@@ -9,10 +9,10 @@ a single masked Newton loop per timestep
 (:func:`~repro.spice.solver.newton_solve_lanes`), so the per-step cost
 is one batched LAPACK call instead of N sequential solves.
 
-Policy, mirroring the PR 3 ``use_kernels`` convention:
+Policy, mirroring the ``use_kernels`` convention:
 
 * lanes are **opt-in** (``repro.spice.transient.set_lanes_default``);
-  the per-lane path stays the default and the parity baseline;
+  the serial path stays the default and the parity baseline;
 * lane results carry a documented **fp tolerance** (~1e-5 V) instead of
   the bitwise guarantee — the batched scatter sums device deltas apart
   from the base buffer and the device math uses numpy's SIMD
@@ -24,7 +24,7 @@ Policy, mirroring the PR 3 ``use_kernels`` convention:
   Jacobian every pass, as the serial kernel iterates — the chord loop
   can cycle where Newton converges, e.g. on the read after a weak
   write), and if that also fails it is **isolated** — dropped from the
-  batch and left for the caller to re-run on the legacy per-lane path
+  batch and left for the caller to re-run on the serial kernel path
   with its full rescue ladder, so one pathological ``Rop`` cannot
   poison the batch.
 """
@@ -66,7 +66,7 @@ class LaneSystem:
     limited to the static matrices (defect-resistor entries re-valued
     through the static plan's device span) and the capacitor history.
     The template's device objects are never mutated, so a ``LaneSystem``
-    can share its :class:`System` with the per-lane legacy path.
+    can share its :class:`System` with the serial path.
     """
 
     #: Dense lane systems batch through :func:`~repro.spice.solver
@@ -537,7 +537,7 @@ class LaneBatchResult:
 
     ``results[k]`` is the lane's :class:`TransientResult`, or ``None``
     when the lane was isolated (``isolated[k]`` true) and must be
-    re-run on the legacy per-lane path.  ``counters`` holds the lane
+    re-run on the serial path.  ``counters`` holds the lane
     bookkeeping that feeds :mod:`repro.diagnostics`.
     """
 
@@ -562,8 +562,9 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
     :class:`LaneWarmBank` view): when a failing lane has no converged
     in-batch neighbour to borrow a restart iterate from, the nearest
     stored trajectory from an earlier generation is tried before the
-    lane is isolated.  With ``warm=None`` (every pre-existing caller)
-    the retry policy is bitwise the legacy in-batch-only behaviour.
+    lane is isolated.  With ``warm=None`` a failing lane borrows only
+    from converged in-batch neighbours; with none, it goes straight to
+    the full-Newton rung.
     """
     if tstop <= 0 or dt <= 0:
         raise SpiceError("tstop and dt must be positive")

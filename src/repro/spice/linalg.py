@@ -7,11 +7,12 @@ size, and the time grid is overwhelmingly uniform.  Factoring once and
 re-applying the factorization turns an O(n^3) LAPACK call per step into
 an O(n^2) matrix-vector product.
 
-* :func:`lu_factor` / :func:`lu_solve` — a pure-numpy LU pair (partial
-  pivoting, Doolittle).  ``lu_solve`` runs the classic forward/backward
-  substitution and matches ``np.linalg.solve`` to machine precision;
-  a zero pivot raises :class:`~repro.spice.errors.SingularMatrixError`,
-  mirroring the ``LinAlgError`` of the direct solve.
+* :func:`lu_factor` — a pure-numpy LU factorization (partial pivoting,
+  Doolittle) whose :meth:`LUFactorization.solve` runs the classic
+  forward/backward substitution and matches ``np.linalg.solve`` to
+  machine precision; a zero pivot raises
+  :class:`~repro.spice.errors.SingularMatrixError`, mirroring the
+  ``LinAlgError`` of the direct solve.
 * :class:`LUFactorization` — the factor plus a lazily-built explicit
   inverse so repeated solves against the same matrix collapse to one
   BLAS ``gemv`` (:meth:`LUFactorization.solve_fast`).
@@ -190,11 +191,6 @@ class LUFactorization:
 def lu_factor(a: np.ndarray) -> LUFactorization:
     """Factor ``a``; raises :class:`SingularMatrixError` on a zero pivot."""
     return LUFactorization(a)
-
-
-def lu_solve(fact: LUFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` from a :func:`lu_factor` result (substitution)."""
-    return fact.solve(b)
 
 
 class FactorizationCache:

@@ -74,8 +74,8 @@ _LANES_DEFAULT = 0
 def set_lanes_default(width: int) -> int:
     """Set the process-wide default lane width for batched Rop sweeps.
 
-    ``0`` (the default) keeps every sweep on the per-lane legacy path —
-    the parity baseline, mirroring the ``use_kernels`` convention.
+    ``0`` (the default) keeps every sweep on the serial path, one
+    transient per point — the lanes' parity baseline.
     ``width >= 2`` lets the batch executor group same-topology sweep
     points into multi-lane transients of at most ``width`` lanes (see
     :mod:`repro.spice.lanes`).  Returns the previous value.

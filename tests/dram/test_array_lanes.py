@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dram.runner as runner_mod
 from repro.dram.column import DEFECT_KINDS, DefectSite
 from repro.dram.runner import ArrayLaneRunner, ArrayRunner
 from repro.engine import BatchExecutor
@@ -73,10 +74,22 @@ class TestArrayLaneParity:
                 assert abs(a.vc_end - b.vc_end) <= LANE_TOL
                 assert a.sensed == b.sensed
 
-    def test_writes_rejected(self):
+    def test_writes_rejected(self, monkeypatch):
+        """A write anywhere in the sequence fails the batch before any
+        lane simulates, also after a read that could have run."""
+        calls = []
+
+        def no_lane_transient(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a lane transient ran before the write "
+                                 "was rejected")
+
+        monkeypatch.setattr(runner_mod, "lane_transient", no_lane_transient)
         runner = ArrayLaneRunner(geometry=(4, 4))
-        with pytest.raises(NetlistError):
-            runner.run_sequences("w1 r1", [(2e5, 0.0)])
+        for ops in ("w1 r1", "r w1"):
+            with pytest.raises(NetlistError):
+                runner.run_sequences(ops, [(2e5, 0.0)])
+        assert calls == []
 
 
 class TestWarmStarts:
