@@ -20,10 +20,11 @@ Commands
     simulate only the accessed row/column plus the defect neighborhood
     with calibrated boundary loads; see DESIGN.md section 5g).
 
-The sweep-heavy commands (``table1``, ``planes``, ``coverage``) accept
-``--workers N`` (process-pool fan-out), ``--lanes N`` (stack same-
-topology sweep points into batched multi-lane transients), ``--no-cache``
-(disable the content-addressed result cache), ``--surrogate
+The simulating commands (``table1``, ``optimize``, ``planes``,
+``coverage``, ``array``) accept ``--workers N`` (process-pool fan-out),
+``--lanes N`` (stack same-topology sweep points into batched multi-lane
+transients), ``--no-cache`` (disable the content-addressed result
+cache), ``--surrogate
 off|prior|serve`` (surrogate-first answer tier with uncertainty-gated
 electrical fallback; see DESIGN.md section 5i), ``--verbose`` (engine
 statistics on stderr) and ``--profile`` (wall-clock timings of the
@@ -126,12 +127,15 @@ def _cmd_optimize(args) -> int:
         return 2
     placement = Placement.COMP if args.comp else Placement.TRUE
     backend = "electrical" if args.electrical else "behavioral"
+    _setup_engine(args)
     row = optimize_defect(
         kind, placement=placement,
-        model_factory=lambda d, s: make_model(d, s, backend))
+        model_factory=lambda d, s: make_model(d, s, backend, engine=True),
+        on_error="isolate" if args.isolate else "raise")
     print(row.describe())
     for call in row.directions.values():
         print(f"  {call.describe()}")
+    _report_engine(args)
     return 0
 
 
@@ -267,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comp", action="store_true",
                    help="complementary bit line")
     p.add_argument("--electrical", action="store_true")
+    _add_engine_options(p)
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("planes", help="Fig. 2/6 result planes")

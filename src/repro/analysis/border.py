@@ -5,7 +5,9 @@ faulty behaviour (Sec. 3, citing [Al-Ars02]).  Opens fail *above* their
 border; shorts and bridges fail *below* it.  The search bisects in log
 space over a detection predicate: "does this operation sequence observe a
 functional fault at resistance R?".  That bisection, like every other
-border search in the repo, runs through :func:`bisect_lattice`.
+border search in the repo, runs through :func:`bisect_lattice`; an
+unseeded search probes the ends of the range only when its walk reaches
+them.
 
 The default predicate uses a saturating charge phase (several ``w1``/``w0``
 operations) so the detection is not limited by incomplete charging — the
@@ -158,8 +160,13 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
 
     ``fails_high`` selects the polarity (True for opens).  A custom
     ``predicate`` (or sequence battery) overrides the default probe.
-    The predicate is assumed monotone in R in the paper's sense; the
-    endpoints are checked and degenerate outcomes reported explicitly.
+    The predicate is assumed monotone in R in the paper's sense.  The
+    walk runs first and probes a range end only when its final leaf
+    touches it: an interior leaf's bounds answered on opposite sides,
+    which fixes the side of both ends.  At an edge leaf the end's
+    answer tells a border from a degenerate outcome (the whole range
+    faulty or fault-free, reported explicitly), so a degenerate search
+    costs one probe per lattice level plus one.
 
     ``prior`` is an optional border estimate (e.g. from the surrogate
     tier).  The search then jumps straight to the bisection leaf that
@@ -179,7 +186,9 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
     resistances, an unprobeable midpoint stops the refinement (the
     result brackets around it at reduced accuracy), and an unprobeable
     endpoint yields an undetermined result — all reported through
-    ``n_failed_probes`` instead of an exception.
+    ``n_failed_probes`` instead of an exception.  This policy, like the
+    fallback after a prior-guided descent gives up, probes both ends
+    before it bisects.
     """
     if r_lo <= 0 or r_hi <= r_lo:
         raise ValueError("require 0 < r_lo < r_hi")
@@ -216,8 +225,25 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
                             always_faulty=False, never_faulty=False,
                             r_lo=r_lo, r_hi=r_hi, n_failed_probes=n_failed)
 
-    if (prior is not None and on_error == "raise"
-            and math.isfinite(prior) and prior > 0):
+    def uniform(faulty: bool) -> BorderResult:
+        """No border in the range: faulty (or fault-free) throughout."""
+        return BorderResult(None, fails_high, always_faulty=faulty,
+                            never_faulty=not faulty, r_lo=r_lo, r_hi=r_hi,
+                            n_failed_probes=n_failed)
+
+    seeded = prior is not None and math.isfinite(prior) and prior > 0
+    if on_error == "raise" and not seeded:
+        # Ends last: a leaf bound that is not a range end answered in
+        # the walk, on the side it bounds, so under a monotone predicate
+        # only an edge leaf needs its range end probed.
+        lo, hi = bisect_lattice(lattice, r_lo, r_hi, side)
+        if lo == r_lo and side(r_lo):       # all on r_hi's side
+            return uniform(fails_high)
+        if hi == r_hi and not side(r_hi):   # all on r_lo's side
+            return uniform(not fails_high)
+        return found(lo, hi)
+
+    if seeded and on_error == "raise":
         memo: dict[float, bool] = {}
         raw_predicate = predicate
 
@@ -246,13 +272,9 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
     faulty_at_clean_end = lo_faulty if fails_high else hi_faulty
 
     if faulty_at_clean_end:
-        return BorderResult(None, fails_high, always_faulty=True,
-                            never_faulty=False, r_lo=r_lo, r_hi=r_hi,
-                            n_failed_probes=n_failed)
+        return uniform(True)
     if not faulty_at_faulty_end:
-        return BorderResult(None, fails_high, always_faulty=False,
-                            never_faulty=True, r_lo=r_lo, r_hi=r_hi,
-                            n_failed_probes=n_failed)
+        return uniform(False)
     # An unprobeable midpoint stops the walk and the border brackets
     # around it: a coarser border beats an aborted search.
     return found(*bisect_lattice(lattice, r_lo, r_hi, side))

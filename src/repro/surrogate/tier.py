@@ -6,7 +6,7 @@ calibrated predictors of :mod:`repro.surrogate.br`:
 * ``mode="prior"`` — every electrical border search still runs, but the
   bisection is seeded with the surrogate's estimate
   (:func:`repro.analysis.border.border_resistance`'s ``prior``), so it
-  spends ~2 electrical probes instead of ~10 while returning the
+  spends ~2 electrical probes instead of ~8 while returning the
   bitwise-identical border.  Full electrical confirmation, surrogate
   acceleration.
 * ``mode="serve"`` — border and direction queries whose uncertainty

@@ -1,13 +1,19 @@
 """Border-resistance bisection: polarity handling and degenerate cases."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import border_resistance
 from repro.analysis.border import (DEFAULT_PROBE_SEQUENCES, BorderResult,
-                                   battery_walk, default_fault_predicate)
+                                   battery_walk, bisect_lattice,
+                                   default_fault_predicate, log_lattice)
 from repro.analysis.interface import opposite_rail_init
 from repro.analysis.planes import log_grid
 from repro.behav import behavioral_model
+from repro.core.border import find_border_resistance
 from repro.defects import ALL_DEFECTS, Defect, DefectKind
 from repro.dram.ops import format_ops, parse_ops
 from repro.experiments.figures import FIG6_STRESS
@@ -175,3 +181,155 @@ class TestProbeBattery:
         model.run_op = counted
         assert default_fault_predicate(model)(1.75e5)
         assert format_ops(cycles) == "w1 r1^3 w0 r0^3"
+
+
+# ----------------------------------------------------------------------
+# ends last: an unseeded search probes a range end only at an edge leaf
+# ----------------------------------------------------------------------
+R_LO, R_HI = 1e3, 1e7
+
+#: The base SC of the e2e benchmark's ``table1-resume`` workload at
+#: seed 1 (Vdd and T moved off nominal).
+SEED1_STRESS = NOMINAL_STRESS.with_(vdd=2.396876046654325,
+                                    temp_c=26.376697910064607)
+
+
+class StepPredicate:
+    """Monotone step ``faulty(R)`` recording every resistance probed."""
+
+    def __init__(self, border: float, fails_high: bool, closed: bool):
+        self.border, self.fails_high, self.closed = border, fails_high, closed
+        self.probed = []
+
+    def __call__(self, r: float) -> bool:
+        self.probed.append(r)
+        if r == self.border:
+            return self.closed
+        return (r > self.border) == self.fails_high
+
+
+def _levels(rel_tol: float) -> int:
+    """L, the probes of a walk from ``(R_LO, R_HI)`` down to a leaf."""
+    split, levels, lo = log_lattice(rel_tol).split, 0, R_LO
+    while (mid := split(lo, R_HI)) is not None:
+        lo, levels = mid, levels + 1
+    return levels
+
+
+@st.composite
+def _step_cases(draw):
+    """``(border, fails_high, closed, rel_tol)``: borders in log space
+    well past both range ends, exact lattice points and the ends."""
+    rel_tol = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    kind = draw(st.sampled_from(["log", "lattice", "end"]))
+    if kind == "log":
+        exponent = draw(st.floats(math.log10(R_LO / 10),
+                                  math.log10(R_HI * 10)))
+        border = 10.0 ** exponent
+    elif kind == "lattice":
+        split, lo, hi = log_lattice(rel_tol).split, R_LO, R_HI
+        border = split(lo, hi)
+        for go_up in draw(st.lists(st.booleans(), max_size=12)):
+            mid = split(lo, hi)
+            if mid is None:
+                break
+            border = mid
+            lo, hi = (mid, hi) if go_up else (lo, mid)
+    else:
+        border = draw(st.sampled_from([R_LO, R_HI]))
+    return border, draw(st.booleans()), draw(st.booleans()), rel_tol
+
+
+class TestEndsLast:
+    """The unseeded search walks first and probes ``r_lo`` / ``r_hi``
+    only when the final leaf touches them.  ``on_error="isolate"`` with
+    a predicate that never raises keeps the ends-first order, so it is
+    the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_step_cases())
+    def test_matches_ends_first_and_probes_ends_only_at_an_edge(self,
+                                                                case):
+        border, fails_high, closed, rel_tol = case
+        reference = border_resistance(
+            None, fails_high=fails_high, r_lo=R_LO, r_hi=R_HI,
+            predicate=StepPredicate(border, fails_high, closed),
+            rel_tol=rel_tol, on_error="isolate")
+        pred = StepPredicate(border, fails_high, closed)
+        got = border_resistance(None, fails_high=fails_high, r_lo=R_LO,
+                                r_hi=R_HI, predicate=pred, rel_tol=rel_tol)
+
+        assert (got.always_faulty, got.never_faulty) == \
+            (reference.always_faulty, reference.never_faulty)
+        if reference.found:
+            assert got.resistance.hex() == reference.resistance.hex()
+        else:
+            assert got.resistance is None
+
+        faulty = StepPredicate(border, fails_high, closed)
+        leaf = bisect_lattice(log_lattice(rel_tol), R_LO, R_HI,
+                              lambda x, *_: faulty(x) == fails_high)
+        edge = leaf[0] == R_LO or leaf[1] == R_HI
+        assert edge or got.found          # a uniform range walks to an end
+        if edge:
+            assert len(pred.probed) == _levels(rel_tol) + 1
+        else:
+            assert len(pred.probed) == _levels(rel_tol)
+            assert R_LO not in pred.probed and R_HI not in pred.probed
+
+    @pytest.mark.parametrize("fails_high", [True, False])
+    @pytest.mark.parametrize("faulty", [True, False])
+    def test_uniform_range_costs_one_probe_past_the_walk(self, fails_high,
+                                                         faulty):
+        probed = []
+
+        def constant(r):
+            probed.append(r)
+            return faulty
+
+        got = border_resistance(None, fails_high=fails_high, r_lo=R_LO,
+                                r_hi=R_HI, predicate=constant)
+        assert (got.always_faulty, got.never_faulty) == (faulty, not faulty)
+        assert len(probed) == _levels(0.05) + 1
+        # the walk heads for the end on the border's far side
+        assert probed[-1] == (R_HI if faulty != fails_high else R_LO)
+
+    def test_one_leaf_range_probes_both_ends(self):
+        probed = []
+
+        def step(r):
+            probed.append(r)
+            return r > 1.5e3
+
+        got = border_resistance(None, fails_high=True, r_lo=1e3,
+                                r_hi=1.04e3, predicate=step)
+        assert got.never_faulty
+        assert probed == [1e3, 1.04e3]
+
+    @pytest.mark.parametrize("stress", [NOMINAL_STRESS, SEED1_STRESS],
+                             ids=["nominal", "seed1"])
+    @pytest.mark.parametrize("defect", ALL_DEFECTS, ids=lambda d: d.name)
+    def test_behavioral_borders_bitwise_for_two_fewer_probes(self, defect,
+                                                             stress):
+        def search(on_error):
+            model = behavioral_model(defect, stress=stress)
+            staged = []
+            set_r = model.set_defect_resistance
+
+            def staging(r):
+                staged.append(r)
+                return set_r(r)
+
+            model.set_defect_resistance = staging
+            border = find_border_resistance(model, defect, stress=stress,
+                                            on_error=on_error,
+                                            surrogate=False)
+            return border, len(staged)
+
+        reference, reference_probes = search("isolate")
+        got, probes = search("raise")
+        assert got.found and reference.found
+        assert got.resistance.hex() == reference.resistance.hex()
+        assert (got.always_faulty, got.never_faulty) == \
+            (reference.always_faulty, reference.never_faulty)
+        assert probes == reference_probes - 2

@@ -109,13 +109,16 @@ def test_non_finite_priors_fall_back_to_serial(prior):
 
 def test_isolate_policy_ignores_prior():
     border = 5.4e4
-    serial, serial_calls = _search(border, True)
+    unseeded = CountingPredicate(border, True)
+    serial = border_resistance(None, fails_high=True, r_lo=R_LO,
+                               r_hi=R_HI, predicate=unseeded,
+                               on_error="isolate")
     pred = CountingPredicate(border, True)
     guided = border_resistance(None, fails_high=True, r_lo=R_LO,
                                r_hi=R_HI, predicate=pred,
                                on_error="isolate", prior=border)
     assert guided.resistance == serial.resistance
-    assert pred.calls == serial_calls
+    assert pred.calls == unseeded.calls
 
 
 def test_non_monotone_predicate_returns_a_true_transition():

@@ -55,6 +55,16 @@ class TestCommands:
         assert "O3 (true)" in out
         assert "tcyc" in out
 
+    def test_optimize_verbose_reports_engine_stats(self, capsys):
+        assert main(["optimize", "O3"]) == 0
+        plain = capsys.readouterr()
+        set_default_engine(None)
+        assert main(["optimize", "O3", "--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == plain.out          # stdout stays identical
+        assert "engine:" in verbose.err
+        assert "engine:" not in plain.err
+
     def test_shmoo(self, capsys):
         rc = main(["shmoo", "--resistance", "250000"])
         assert rc == 0
