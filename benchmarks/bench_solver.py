@@ -12,12 +12,14 @@ acceptance artifact) and ``reports/solver.txt``:
   .fig2_result_planes` on a reduced resistance grid) — the sweep shape
   that reuses one system across hundreds of chained cycles.
 
-The legacy baseline runs the exact pre-kernel per-device loop
+The legacy baseline runs the pre-kernel per-device loop
 (``set_kernels_default(False)`` builds systems with ``use_plans=False``
-and solves through the unmodified ``np.linalg.solve`` call), so the
-reported speedups measure the kernels against the true before state.
-Both paths are also checked for result parity on the cycle sequence —
-the kernel path must be bitwise-identical.
+and solves through ``np.linalg.solve``).  Both loops solve the same
+kept block of the pinned-unknown partition (DESIGN.md section 5c), so
+the reported speedups measure the kernels' assembly and step-loop work
+against the per-device walk on equal solves.  Both paths are also
+checked for result parity on the cycle sequence — the kernel path must
+be bitwise-identical.
 
 Run standalone (CI runs ``--quick``)::
 

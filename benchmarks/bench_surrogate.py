@@ -23,7 +23,11 @@ Measures the workload the surrogate tier exists for, in two legs:
   only) seeding the bracket.  Gated: ≥ 3x end-to-end, with every
   border **exactly** equal to the serial search (the prior-guided
   descent replays the same bisection lattice, so this is bitwise
-  identity, not a tolerance).
+  identity, not a tolerance).  The two legs run about a minute apart,
+  so each is timed inside a machine-speed probe
+  (``benchmarks/e2e/speed.SpeedProbe``) and the gate reads the ratio of
+  the host-scaled times; the report prints each leg's counted Newton
+  iterations beside it, a machine-independent view of the same ratio.
 
 Writes ``reports/surrogate.txt`` (repo root, the acceptance artifact)
 plus a machine-readable ``BENCH_surrogate.json`` twin.  ``--quick``
@@ -43,8 +47,10 @@ import time
 
 try:
     from benchmarks._common import emit, fail, make_parser
+    from benchmarks.e2e.speed import SpeedProbe
 except ImportError:                               # run as a script
     from _common import emit, fail, make_parser
+    from e2e.speed import SpeedProbe
 
 import numpy as np  # noqa: E402
 
@@ -60,6 +66,7 @@ from repro.core.optimizer import (  # noqa: E402
     probe_resistance,
 )
 from repro.defects.catalog import ALL_DEFECTS, Defect  # noqa: E402
+from repro.diagnostics import reset_diagnostics  # noqa: E402
 from repro.engine import (  # noqa: E402
     BatchExecutor,
     ResultCache,
@@ -211,8 +218,10 @@ def _direction_leg(defects) -> dict:
 # ----------------------------------------------------------------------
 # leg 2: cold seven-kind BR study, serial vs prior-seeded bisection
 # ----------------------------------------------------------------------
-def _cold_study(defects, mode: str) -> tuple[float, dict, object]:
-    """One cold pass over the kinds' nominal borders (fresh engine)."""
+def _cold_study(defects, mode: str) -> tuple[SpeedProbe, dict, object, int]:
+    """One cold pass over the kinds' nominal borders (fresh engine),
+    timed inside a :class:`SpeedProbe`; also returns the pass's counted
+    Newton iterations."""
     engine = _fresh_engine()
     tier = None
     if mode == "prior":
@@ -220,31 +229,36 @@ def _cold_study(defects, mode: str) -> tuple[float, dict, object]:
         set_active_tier(tier)
     else:
         set_active_tier(None)
+    diag = reset_diagnostics()
     try:
-        t0 = time.perf_counter()
-        borders = {}
-        for defect in defects:
-            model = electrical_model(defect, stress=NOMINAL_STRESS)
-            borders[defect.name] = find_border_resistance(
-                model, defect, stress=NOMINAL_STRESS,
-                rel_tol=BR_REL_TOL,
-                surrogate=False if mode == "serial" else None)
-        elapsed = time.perf_counter() - t0
+        with SpeedProbe() as probe:
+            borders = {}
+            for defect in defects:
+                model = electrical_model(defect, stress=NOMINAL_STRESS)
+                borders[defect.name] = find_border_resistance(
+                    model, defect, stress=NOMINAL_STRESS,
+                    rel_tol=BR_REL_TOL,
+                    surrogate=False if mode == "serial" else None)
     finally:
         set_active_tier(None)
-    return elapsed, borders, engine.stats
+    iterations = diag.counts.get("kernel.plan_iteration_assembly", 0)
+    return probe, borders, engine.stats, iterations
 
 
 def _cold_leg(defects) -> dict:
-    serial_s, serial_borders, _ = _cold_study(defects, "serial")
-    prior_s, prior_borders, stats = _cold_study(defects, "prior")
+    serial, serial_borders, _, serial_iters = _cold_study(defects, "serial")
+    prior, prior_borders, stats, prior_iters = _cold_study(defects, "prior")
     identical = all(serial_borders[n] == prior_borders[n]
                     for n in serial_borders)
     return {
         "kinds": [d.name for d in defects],
-        "serial_s": serial_s,
-        "prior_s": prior_s,
-        "speedup": serial_s / prior_s,
+        "serial_s": serial.scaled,
+        "prior_s": prior.scaled,
+        "serial_raw_s": serial.elapsed,
+        "prior_raw_s": prior.elapsed,
+        "speedup": serial.scaled / prior.scaled,
+        "serial_newton_iters": serial_iters,
+        "prior_newton_iters": prior_iters,
         "borders": {n: b.resistance for n, b in serial_borders.items()},
         "borders_identical": identical,
         "surrogate_refits": stats.surrogate_refits,
@@ -301,11 +315,18 @@ def render(res: dict) -> str:
         f"  cold pass (serves + fallbacks)  : {d['cold_s']:8.1f} s",
         f"  warm pass                       : {d['serve_s']:8.1f} s",
         "",
-        "cold BR study (prior mode, empty journal, packaged seeds)",
-        f"  serial electrical bisection     : {c['serial_s']:8.1f} s",
-        f"  prior-seeded bisection          : {c['prior_s']:8.1f} s",
+        "cold BR study (prior mode, empty journal, packaged seeds;",
+        "host times scaled to the speed probe's reference)",
+        f"  serial electrical bisection     : {c['serial_s']:8.1f} s "
+        f"(raw {c['serial_raw_s']:.1f} s), "
+        f"{c['serial_newton_iters']} Newton iterations",
+        f"  prior-seeded bisection          : {c['prior_s']:8.1f} s "
+        f"(raw {c['prior_raw_s']:.1f} s), "
+        f"{c['prior_newton_iters']} Newton iterations",
         f"  speedup                         : {c['speedup']:8.2f}x "
-        f"(target >= {COLD_SPEEDUP_TARGET:.0f}x, full mode)",
+        f"(target >= {COLD_SPEEDUP_TARGET:.0f}x, full mode); "
+        f"Newton iterations "
+        f"{c['serial_newton_iters'] / max(c['prior_newton_iters'], 1):.2f}x",
         f"  border identity                 : "
         f"{'exact, all kinds' if c['borders_identical'] else 'MISMATCH'}",
         f"  calibration points journaled    : {c['surrogate_refits']}",
@@ -332,7 +353,7 @@ def main(argv=None) -> int:
                         f"{SERVED_FRACTION_TARGET:.0%} target")
         if not args.quick \
                 and res["cold7"]["speedup"] < COLD_SPEEDUP_TARGET:
-            return fail(f"cold prior-mode speedup "
+            return fail(f"cold prior-mode speedup (host-scaled) "
                         f"{res['cold7']['speedup']:.2f}x below "
                         f"{COLD_SPEEDUP_TARGET:.0f}x target")
     return 0

@@ -96,15 +96,22 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     must hold :func:`~repro.spice.linalg.dense_errstate` so singular
     matrices raise instead of silently returning NaNs.  The kernel
     transient loop enables it (holding the errstate around its whole
-    step loop); the legacy loop keeps the exact pre-kernel call so
-    benchmarks measure the unmodified baseline.
+    step loop); the legacy loop keeps the plain ``np.linalg.solve``
+    call.
 
     ``backend`` — a resolved :class:`~repro.spice.backends.SolverBackend`
     to route linear solves through, or ``None`` for the pre-backend
     dense path.  A dense backend resolution passes ``None`` here so the
-    dense branches below stay byte-for-byte the original code (the
-    bitwise-parity guarantee); only a sparse backend changes the solve
-    kernel, with the documented fp tolerance.
+    dense branches below stay the reference (the bitwise-parity
+    guarantee); only a sparse backend changes the solve kernel, with
+    the documented fp tolerance.
+
+    Every dense solve runs on the kept unknowns only (see
+    :mod:`repro.spice.mna`): it factors ``A[K,K]`` against
+    ``b[K] - A[K,P]·x_P``, and the full update still carries ``x_P`` at
+    the pinned nodes, so damping and the ``dv < vtol`` test see every
+    node.  The sparse backend and the cached-factorization fast path
+    solve the full system.
 
     Returns the solution vector; raises :class:`ConvergenceError` or
     :class:`SingularMatrixError` on failure.
@@ -116,15 +123,12 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
             return linear_fact.solve_fast(b_step)
         if sparse:
             return backend.solve(A_step, b_step)
-        if fast_solve:
-            return solve_dense_nocheck(A_step, b_step)
-        try:
-            return np.linalg.solve(A_step, b_step)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(str(exc)) from None
+        return solve_pinned(system, A_step, b_step, fast_solve=fast_solve)
 
     x = x0.copy()
     dx = x
+    if not sparse:
+        pins = system.pin_step(b_step)
     build_iteration = system.build_iteration
     for _ in range(max_iter):
         ctx.x = x
@@ -134,13 +138,9 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
             # (np.linalg.solve factors internally); the sparse kernel
             # just swaps the factorization's complexity class.
             x_new = backend.solve(A, b)
-        elif fast_solve:
-            x_new = solve_dense_nocheck(A, b)
         else:
-            try:
-                x_new = np.linalg.solve(A, b)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(str(exc)) from None
+            y = _solve_kept(system, A, b, pins, fast_solve)
+            x_new = system.expand(y, pins)
         # Reuse the solve output as the update buffer (x_new is fresh
         # every pass; in-place subtraction is bitwise the same).
         dx = np.subtract(x_new, x, out=x_new)
@@ -149,12 +149,42 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
             dx = dx * (vstep_max / dv_max)
         x = x + dx
         if dv_max < vtol:
-            return x
+            if sparse:
+                return x
+            return system.complete(x, A, b, y, pins)
     nodes = _failing_nodes(system, dx, vtol)
     raise ConvergenceError(
         f"Newton iteration did not converge within {max_iter} iterations "
         f"(time={ctx.time!r}, moving nodes: {', '.join(nodes) or '-'})",
         time=ctx.time, iterations=max_iter, nodes=nodes)
+
+
+def _solve_kept(system: System, A: np.ndarray, b: np.ndarray,
+                pins: tuple, fast_solve: bool) -> np.ndarray:
+    """The kept unknowns ``y`` of ``A x = b``: ``A[K,K] y = b[K] -
+    A[K,P]·x_P``, through :func:`solve_dense_nocheck` (``fast_solve``)
+    or the plain ``np.linalg.solve`` call."""
+    A_kk, b_k = system.reduce(A, b, pins)
+    if fast_solve:
+        return solve_dense_nocheck(A_kk, b_k)
+    try:
+        return np.linalg.solve(A_kk, b_k)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from None
+
+
+def solve_pinned(system: System, A: np.ndarray, b: np.ndarray, *,
+                 fast_solve: bool = False) -> np.ndarray:
+    """Solve the linear system ``A x = b`` of ``system`` on its kept
+    unknowns: ``x_P`` exactly, ``x_K`` from ``A[K,K]``, the pinned
+    branch currents from the pinned nodes' KCL rows.
+
+    ``fast_solve`` as in :func:`newton_solve`.  Raises
+    :class:`SingularMatrixError` when ``A`` is singular.
+    """
+    pins = system.pin_step(b)
+    y = _solve_kept(system, A, b, pins, fast_solve)
+    return system.complete(system.expand(y, pins), A, b, y, pins)
 
 
 def _try_solve_lanes(A: np.ndarray, b: np.ndarray
