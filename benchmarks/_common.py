@@ -6,8 +6,11 @@ gates parity only (for noisy runners), and each run writes two
 artefacts: ``reports/<name>.txt`` (repo root, the canonical report
 sink and acceptance artifact) and a machine-readable
 ``BENCH_<name>.json`` twin so the perf trajectory is trackable across
-PRs (see ``scripts/bench_trajectory.py``).  This module owns that boilerplate so a benchmark
-is only its workload, its render, and its gate conditions.
+PRs (see ``scripts/bench_trajectory.py``).  Only full-mode runs write
+those committed files; a ``--quick`` run writes the same two under the
+gitignored :data:`QUICK_DIR`, so a parity gate leaves the tree clean.
+This module owns that boilerplate so a benchmark is only its workload,
+its render, and its gate conditions.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import time
 
 #: Repository root (the directory holding ``src``/``benchmarks``).
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Where ``--quick`` runs write their artefacts (gitignored).
+QUICK_DIR = REPO_ROOT / ".bench_build"
 
 
 def bootstrap() -> None:
@@ -68,18 +74,21 @@ def emit(name: str, text: str, payload: dict) -> None:
     the one canonical report location) and the payload — stamped with
     ``benchmark``/``python``/``numpy`` — to ``BENCH_<name>.json``
     (sorted keys, trailing newline, the schema every existing
-    ``BENCH_*.json`` follows).
+    ``BENCH_*.json`` follows).  A quick-mode payload
+    (``payload["quick"]``) writes both under :data:`QUICK_DIR` instead:
+    the committed files are full-mode runs.
     """
     import numpy as np
 
     print(text)
-    target = REPO_ROOT / "reports" / f"{name}.txt"
-    target.parent.mkdir(exist_ok=True)
+    root = QUICK_DIR if payload.get("quick") else REPO_ROOT
+    target = root / "reports" / f"{name}.txt"
+    target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text + "\n")
     payload = dict(payload, benchmark=name,
                    python=platform.python_version(),
                    numpy=np.__version__)
-    (REPO_ROOT / f"BENCH_{name}.json").write_text(
+    (root / f"BENCH_{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

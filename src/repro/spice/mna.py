@@ -33,10 +33,12 @@ The system also partitions its unknowns once (:func:`pinned_unknowns`).
 An independent voltage source with exactly one grounded terminal *pins*
 its other node to ``±b[branch row]``, a value no nonlinear stamp or gmin
 term touches.  Those node voltages (P) and the sources' branch currents
-(R) leave the dense Newton solve: the solver factors only the kept block
-``A[K,K]`` against ``b[K] - A[K,P]·x_P`` (:meth:`System.reduce`), writes
-``x_P`` exactly and recovers the branch currents from the pinned nodes'
-KCL rows once the step converges (:meth:`System.complete`).
+(R) leave the dense Newton solve: each iteration assembles straight into
+the *kept layout* ``[A[K,K] | [A[K,P] | b[K]] | [A[P,K] | A[P,P] | b[P]]
+| scrap]`` (:meth:`System.build_iteration`), the solver factors
+``A[K,K]`` against ``b[K] - A[K,P]·x_P``, writes ``x_P`` exactly
+(:meth:`System.complete`) and recovers the branch currents from the
+pinned rows when they are read (:meth:`System.recover_branches`).
 """
 
 from __future__ import annotations
@@ -135,6 +137,11 @@ class System:
         self._partition(pinned_unknowns(circuit))
         self._A_static = self._build_static()
         self._step_cache: dict = {}
+        # Step matrices in the kept layout, per step-cache key (see
+        # _kept_image); like the layout itself, built on first use.
+        self._kept_images: dict = {}
+        self._last_image = (None, None)
+        self._kept_src = None
         self._fact_cache = FactorizationCache()
         # Hot-loop shortcut: the compiled nonlinear plan, or None when the
         # iteration layer is empty or falls back to the per-device path.
@@ -143,34 +150,58 @@ class System:
                          else None)
 
     def _partition(self, pins: dict[int, tuple[int, float]]) -> None:
-        """Index the pinned (P, R) and kept (K) unknowns.
-
-        The gathers index the combined ``[A | scrap | b | scrap]`` layout
-        of the iteration scratch: :meth:`reduce` reads ``A[K,K]`` and one
-        ``[A[i,P] | b[i]]`` row per kept ``i``, :meth:`complete` one
-        ``[A[i,K] | A[i,P] | b[i]]`` row per pinned node ``i``.
-        """
-        size = self.size
+        """Index the pinned (P, R) and kept (K) unknowns."""
         order = sorted(pins)
-        nodes = np.array(order, dtype=np.intp)
-        rows = np.array([pins[i][0] for i in order], dtype=np.intp)
-        self._pin_nodes = nodes
-        self._pin_rows = rows
+        self._pin_nodes = np.array(order, dtype=np.intp)
+        self._pin_rows = np.array([pins[i][0] for i in order], dtype=np.intp)
         self._pin_sign = np.array([pins[i][1] for i in order])
         self._pin_neg = -self._pin_sign
         self._pin_key = None
-        kept = np.ones(size, dtype=bool)
-        kept[nodes] = False
-        kept[rows] = False
-        free = np.flatnonzero(kept)
-        self._free = free
-        b_off = size * size + 1
-        self._idx_KK = free[:, None] * size + free
-        self._idx_KT = np.concatenate(
-            [free[:, None] * size + nodes, (b_off + free)[:, None]], axis=1)
-        self._idx_PT = np.concatenate(
-            [nodes[:, None] * size + free, nodes[:, None] * size + nodes,
-             (b_off + nodes)[:, None]], axis=1)
+        kept = np.ones(self.size, dtype=bool)
+        kept[self._pin_nodes] = False
+        kept[self._pin_rows] = False
+        self._free = np.flatnonzero(kept)
+
+    def _kept_layout(self) -> None:
+        """Lay out the dense Newton solve's blocks in one buffer.
+
+        ``[A[K,K] | [A[K,P] | b[K]] | [A[P,K] | A[P,P] | b[P]] | scrap]``,
+        each block row-major, so the kept matrix, the right-hand-side
+        block and the pinned rows are contiguous views.  ``_kept_src``
+        maps each slot to its source in the full ``[A | scrap | b |
+        scrap]`` layout (the scrap slot reads the full matrix scrap);
+        the nonlinear plan is relabelled through its inverse, so it
+        scatters straight into the blocks in its own order and every
+        slot accumulates bitwise the value of the full assembly.  Built
+        on a system's first dense solve: sparse and lane systems never
+        need it.
+        """
+        size, n2 = self.size, self._n2
+        K, P = self._free, self._pin_nodes
+        k, p = len(K), len(P)
+        rows_K, rows_P = K[:, None] * size, P[:, None] * size
+        src = np.concatenate([
+            (rows_K + K).ravel(),
+            np.hstack([rows_K + P, (n2 + 1 + K)[:, None]]).ravel(),
+            np.hstack([rows_P + K, rows_P + P,
+                       (n2 + 1 + P)[:, None]]).ravel(),
+            [n2]])
+        scrap = len(src) - 1
+        slot = np.full(n2 + size + 2, scrap, dtype=np.intp)
+        slot[src[:scrap]] = np.arange(scrap)
+        buf = np.empty(len(src))
+        kt, pt = k * k, k * k + k * (p + 1)
+        self._kept_buf = buf
+        self._A_kk = buf[:kt].reshape(k, k)
+        self._A_kt = buf[kt:pt].reshape(k, p + 1)
+        self._A_pt = buf[pt:scrap].reshape(p, k + p + 1)
+        rhs = np.concatenate([K, P])
+        self._kept_rhs = (slot[n2 + 1 + rhs], rhs)
+        nodes = np.arange(self.num_nodes)
+        self._kept_gmin = slot[nodes * size + nodes]
+        self._nl_kept = (self._nl_plan.relabel(slot)
+                         if self._nl_plan is not None else None)
+        self._kept_src = src
 
     @property
     def has_nonlinear(self) -> bool:
@@ -182,10 +213,11 @@ class System:
     def pin_step(self, b_step: np.ndarray) -> tuple:
         """The pinned state of one solve against step rhs ``b_step``.
 
-        An opaque, read-only tuple for :meth:`reduce`, :meth:`expand`
+        An opaque, read-only tuple for the kept solve, :meth:`expand`
         and :meth:`complete`: a full-size template with ``x_P`` at the
         pinned nodes and zeros elsewhere, ``x_P`` itself, ``[-x_P | 1]``
-        and ``[x_P | -1]``.  Source values hold still over most steps
+        (whose product with ``[A[K,P] | b[K]]`` is the kept right-hand
+        side) and ``[x_P | -1]``.  Source values hold still over most steps
         of a cycle, so the last state is kept and reused while they do.
         """
         x_P = b_step[self._pin_rows]
@@ -199,21 +231,6 @@ class System:
             self._pin_state = (template, x_P, -tail, tail)
         return self._pin_state
 
-    def _flat(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``A`` and ``b`` in the iteration scratch's combined layout."""
-        if A is self._iter_A:
-            return self._iter_scratch
-        return np.concatenate((A.ravel(), _PAD, b, _PAD))
-
-    def reduce(self, A: np.ndarray, b: np.ndarray, pins: tuple
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """The kept system ``(A[K,K], b[K] - A[K,P]·x_P)`` of ``A``/``b``.
-
-        With nothing pinned the pair is bitwise ``(A, b)``.
-        """
-        flat = self._flat(A, b)
-        return flat[self._idx_KK], flat[self._idx_KT].dot(pins[2])
-
     def expand(self, y: np.ndarray, pins: tuple) -> np.ndarray:
         """The full vector of a kept solution ``y``: ``x_P`` at the
         pinned nodes, zeros at their branch rows."""
@@ -221,16 +238,37 @@ class System:
         x[self._free] = y
         return x
 
-    def complete(self, x: np.ndarray, A: np.ndarray, b: np.ndarray,
-                 y: np.ndarray, pins: tuple) -> np.ndarray:
-        """Finish a converged solve in place: ``x_P`` exactly at the
-        pinned nodes, and each pinned source's branch current from its
-        node's KCL row of the last ``A``/``b`` at ``(y, x_P)``."""
-        g = self._flat(A, b)[self._idx_PT]
+    def complete(self, x: np.ndarray, y: np.ndarray,
+                 pins: tuple) -> np.ndarray:
+        """Finish a converged kept solve in place: ``x_P`` exactly at the
+        pinned nodes.  The solve's ``y`` and pinned state are kept for
+        :meth:`recover_branches`."""
         x[self._pin_nodes] = pins[1]
-        x[self._pin_rows] = self._pin_neg * g.dot(
+        self._completed = (y, pins)
+        return x
+
+    def recover_branches(self, x: np.ndarray) -> np.ndarray:
+        """Write each pinned source's branch current into ``x`` in place.
+
+        The current comes from its node's KCL row of the last completed
+        solve: the pinned-row block ``[A[P,K] | A[P,P] | b[P]]`` of its
+        last assembly, at ``(y, x_P)``.  Valid until the next kept
+        assembly overwrites that block.
+        """
+        y, pins = self._completed
+        x[self._pin_rows] = self._pin_neg * self._A_pt.dot(
             np.concatenate((y, pins[3])))
         return x
+
+    def kept_blocks(self, A: np.ndarray, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(A[K,K], [A[K,P] | b[K]])`` of a full ``A``/``b``, gathered
+        into the kept layout (its pinned rows too)."""
+        if self._kept_src is None:
+            self._kept_layout()
+        np.take(np.concatenate((A.ravel(), _PAD, b, _PAD)),
+                self._kept_src, out=self._kept_buf)
+        return self._A_kk, self._A_kt
 
     def _count(self, name: str, n: int = 1) -> None:
         self.kernel_counters[name] = self.kernel_counters.get(name, 0) + n
@@ -272,6 +310,7 @@ class System:
                 self.plans.dynamic.stamp_matrix(A, dt, method)
             if len(self._step_cache) >= STEP_CACHE_MAX:
                 self._step_cache.clear()
+                self._kept_images.clear()
             self._step_cache[key] = A
             self._count("step_matrix_build")
         else:
@@ -355,15 +394,48 @@ class System:
     # iteration layer
     # ------------------------------------------------------------------
     def build_iteration(self, A_step: np.ndarray, b_step: np.ndarray,
-                        ctx: AnalysisContext,
-                        extra_gmin: float = 0.0
+                        ctx: AnalysisContext, extra_gmin: float = 0.0,
+                        full: bool = False
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the per-Newton-iteration system on top of a step base.
 
-        With a compiled nonlinear plan the returned arrays are views into
-        internal scratch buffers that are overwritten by the next call;
-        consume them (or copy) before re-invoking.
+        Returns the dense Newton solve's kept blocks ``(A[K,K], [A[K,P] |
+        b[K]])`` in the kept layout (see :meth:`_kept_layout`), or with
+        ``full`` the whole ``(A, b)`` the sparse backend solves.  The
+        kept blocks, and a compiled plan's full arrays, are views into
+        scratch buffers that the next call overwrites; consume them (or
+        copy) before re-invoking.
+
+        The kept plan path copies the step matrix's image and the step's
+        ``b[K]``/``b[P]``, then scatters the device stamps in the full
+        assembly's order; the per-device walk assembles the full system
+        and gathers it once.  ``extra_gmin`` goes on the node diagonals
+        last, as in the full assembly.
         """
+        if full:
+            return self._build_full(A_step, b_step, ctx, extra_gmin)
+        if self._kept_src is None:
+            self._kept_layout()
+        buf = self._kept_buf
+        nl = self._nl_kept
+        if nl is not None:
+            np.copyto(buf, self._kept_image(A_step, ctx))
+            dst, src = self._kept_rhs
+            buf[dst] = b_step[src]
+            nl.apply(buf, ctx.x, ctx.temp_c)
+            kc = self.kernel_counters
+            kc["plan_iteration_assembly"] = \
+                kc.get("plan_iteration_assembly", 0) + 1
+        else:
+            self.kept_blocks(*self._stamp_nonlinear(A_step, b_step, ctx))
+        if extra_gmin > 0:
+            buf[self._kept_gmin] += extra_gmin
+        return self._A_kk, self._A_kt
+
+    def _build_full(self, A_step: np.ndarray, b_step: np.ndarray,
+                    ctx: AnalysisContext, extra_gmin: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`build_iteration` of the whole system."""
         nl = self._nl_plan
         if nl is not None:
             sc = self._iter_scratch
@@ -374,19 +446,49 @@ class System:
             sc[self._n2] = 0.0
             sc[-1] = 0.0
             nl.apply(sc, ctx.x, ctx.temp_c)
-            kc = self.kernel_counters
-            kc["plan_iteration_assembly"] = \
-                kc.get("plan_iteration_assembly", 0) + 1
+            self._count("plan_iteration_assembly")
         else:
-            A = A_step.copy()
-            b = b_step.copy()
-            st = self._stamper.rebind(A, b, ctx)
-            for dev in self._nonlinear:
-                dev.stamp_nonlinear(st)
-            if self._nonlinear:
-                self._count("fallback_iteration_assembly")
+            A, b = self._stamp_nonlinear(A_step, b_step, ctx)
         if extra_gmin > 0:
             A[self._gmin_idx, self._gmin_idx] += extra_gmin
+        return A, b
+
+    def _kept_image(self, A_step: np.ndarray,
+                    ctx: AnalysisContext) -> np.ndarray:
+        """``A_step`` in the kept layout (zero rhs and scrap slots).
+
+        A step matrix from the ``(dt, method)`` cache, read-only by
+        contract, gets its image cached under the same key and kept as
+        the last one used (consecutive passes of a step share it); any
+        other (a DC or test assembly) is gathered afresh.
+        """
+        last = self._last_image
+        if last[0] is A_step:
+            return last[1]
+        key = (ctx.dt, ctx.method)
+        cached = self._step_cache.get(key) is A_step
+        image = self._kept_images.get(key) if cached else None
+        if image is None:
+            image = np.concatenate(
+                (A_step.ravel(), np.zeros(self.size + 2)))[self._kept_src]
+            if not cached:
+                return image
+            self._kept_images[key] = image
+        self._last_image = (A_step, image)
+        return image
+
+    def _stamp_nonlinear(self, A_step: np.ndarray, b_step: np.ndarray,
+                         ctx: AnalysisContext
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """The per-device iteration walk on fresh copies of the step
+        base (no compiled nonlinear plan)."""
+        A = A_step.copy()
+        b = b_step.copy()
+        st = self._stamper.rebind(A, b, ctx)
+        for dev in self._nonlinear:
+            dev.stamp_nonlinear(st)
+        if self._nonlinear:
+            self._count("fallback_iteration_assembly")
         return A, b
 
     def accept_step(self, x_prev: np.ndarray, x_now: np.ndarray, dt: float,

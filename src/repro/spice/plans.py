@@ -29,6 +29,7 @@ the accumulation-order guarantee.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -498,11 +499,17 @@ class NonlinearPlan:
         mos_b_pos = np.empty((n_mos, 2), dtype=np.intp)
         di_A_pos = np.empty((n_di, 4), dtype=np.intp)
         di_b_pos = np.empty((n_di, 2), dtype=np.intp)
-        # Scalar-loop staging: gds, gm, s*residual per MOSFET, then gd,
+        # Scalar-loop staging: gds, gm, s*residual per MOSFET (the NMOS
+        # devices first, then the PMOS ones, see _apply_loop), then gd,
         # ires per diode, followed by their negated copies; ``expand``
-        # gathers every signed [A | b] slot value from it.
+        # gathers every signed [A | b] slot value from it in device
+        # order.
         n_st = 3 * n_mos + 2 * n_di
         expand = np.empty(n_A + n_b, dtype=np.intp)
+        nmos = [m.params.polarity == "n" for m in self.mosfets]
+        split = ([i for i in range(n_mos) if nmos[i]]
+                 + [i for i in range(n_mos) if not nmos[i]])
+        stage_of = {i: 3 * r for r, i in enumerate(split)}
 
         a_cur = b_cur = 0
         i_mos = i_di = 0
@@ -525,7 +532,7 @@ class NonlinearPlan:
                 self._A_idx_swap[sl] = cond + tc_swap
                 self._A_sign[sl] = _MOS_SIGNS
                 mos_b_pos[i_mos] = (b_cur, b_cur + 1)
-                j = 3 * i_mos
+                j = stage_of[i_mos]
                 jn = j + n_st
                 expand[sl] = (j, j, jn, jn, j + 1, jn + 1, jn + 1, j + 1)
                 expand[n_A + b_cur:n_A + b_cur + 2] = (j + 2, jn + 2)
@@ -580,9 +587,8 @@ class NonlinearPlan:
                                dtype=np.intp)
         self._mos_s = np.array([m.source.index for m in self.mosfets],
                                dtype=np.intp)
-        self._mos_pol = np.array(
-            [1.0 if m.params.polarity == "n" else -1.0
-             for m in self.mosfets])
+        self._mos_pol = np.array([1.0 if n else -1.0 for n in nmos])
+        self._mos_split = split
         self._di_a = np.array([d.anode.index for d in self.diodes],
                               dtype=np.intp)
         self._di_c = np.array([d.cathode.index for d in self.diodes],
@@ -649,21 +655,24 @@ class NonlinearPlan:
 
     def _loop_meta(self, temp_c: float) -> tuple:
         """Per-device metadata tuples for the fused scalar loop, merged
-        with the temperature-resolved parameters and cached per temp."""
+        with the temperature-resolved parameters and cached per temp:
+        ``(nmos, pmos, diodes)``, each in device order."""
         cached = self._loop_cache.get(temp_c)
         if cached is not None:
             return cached
         beta, nvt, vth, lam, di_isat, di_vt = self._temp_params(temp_c)
-        mos_meta = tuple(
+        mos_meta = [
             (int(self._mos_d[i]), int(self._mos_g[i]), int(self._mos_s[i]),
-             float(self._mos_pol[i]), float(beta[i]), float(nvt[i]),
-             float(vth[i]), float(lam[i]), 1 << i)
-            for i in range(len(self.mosfets)))
+             float(beta[i]), float(nvt[i]), float(vth[i]), float(lam[i]),
+             1 << i)
+            for i in self._mos_split]
+        n_nmos = int((self._mos_pol > 0).sum())
         di_meta = tuple(
             (int(self._di_a[i]), int(self._di_c[i]), float(di_isat[i]),
              float(di_vt[i]))
             for i in range(len(self.diodes)))
-        cached = (mos_meta, di_meta)
+        cached = (tuple(mos_meta[:n_nmos]), tuple(mos_meta[n_nmos:]),
+                  di_meta)
         if len(self._loop_cache) > 16:
             self._loop_cache.clear()
         self._loop_cache[temp_c] = cached
@@ -698,10 +707,30 @@ class NonlinearPlan:
             self._cache_swap_idx(mask, idx)
         return idx
 
+    def relabel(self, slot: np.ndarray) -> "NonlinearPlan":
+        """This plan scattering into another layout.
+
+        ``slot[i]`` is the position, in the new layout, of slot ``i`` of
+        the combined ``[A | scrapA | b | scrapB]`` buffer.  The copy
+        shares everything but its slot indices and swap cache, so its
+        :meth:`apply` accumulates in the same ``np.add.at`` order, and a
+        slot that ``slot`` maps one-to-one ends with the full buffer's
+        value.  For :meth:`apply` only: the lane kernels keep the full
+        layout.
+        """
+        plan = copy.copy(self)
+        plan._A_idx_norm = slot[self._A_idx_norm]
+        plan._A_idx_swap = slot[self._A_idx_swap]
+        plan._b_idx_off = slot[self._b_idx_off]
+        plan._AB_idx_norm = slot[self._AB_idx_norm]
+        plan._swap_idx_cache = {}
+        return plan
+
     def apply(self, flat: np.ndarray, x: np.ndarray,
               temp_c: float) -> None:
         """Linearize every nonlinear device around ``x`` and scatter into
-        the combined ``[A | scrapA | b | scrapB]`` scratch buffer."""
+        the combined ``[A | scrapA | b | scrapB]`` scratch buffer (or the
+        layout of :meth:`relabel`)."""
         if self._use_vec:
             self._apply_vec(flat, x, temp_c)
         else:
@@ -715,13 +744,16 @@ class NonlinearPlan:
         (:func:`~repro.spice.mosfet.mosfet_curves`, :meth:`Diode.iv`)
         operation for operation, so the scattered values are bitwise
         those of the vectorized kernel and of the legacy stamp walk.
-        The loop stages only the distinct values (gds, gm, s*residual
-        per MOSFET; gd, ires per diode); one precompiled gather from
-        ``[values | -values]`` expands them to the signed slot values
+        NMOS and PMOS devices run in separate loops with the polarity
+        folded in: the model's ``p *`` is the identity for NMOS and a
+        unary negation for PMOS, both exact.  The loops stage only the
+        distinct values (gds, gm, s*residual per MOSFET; gd, ires per
+        diode); one precompiled gather from ``[values | -values]``
+        expands them to the signed slot values in device order
         (negation is exact), saving the sign-vector multiply of the
         array path.
         """
-        mos_meta, di_meta = self._loop_meta(temp_c)
+        nmos_meta, pmos_meta, di_meta = self._loop_meta(temp_c)
         xl = x.tolist()
         xl.append(0.0)  # ground sentinel: index -1 reads 0 V branch-free
         st = []
@@ -729,11 +761,11 @@ class NonlinearPlan:
         mask = 0
         exp = math.exp
         log1p = math.log1p
-        for (di, gi, si, p, be, nv, vt, la, bit) in mos_meta:
+        for (di, gi, si, be, nv, vt, la, bit) in nmos_meta:
             vd = xl[di]
             vg = xl[gi]
             vs = xl[si]
-            if p * (vd - vs) < 0.0:
+            if vd - vs < 0.0:
                 vnd = vs
                 vns = vd
                 mask |= bit
@@ -742,8 +774,8 @@ class NonlinearPlan:
                 vnd = vd
                 vns = vs
                 s = -1.0
-            vgs = p * (vg - vns)
-            vds = p * (vnd - vns)
+            vgs = vg - vns
+            vds = vnd - vns
             vov = vgs - vt
             u = vov / nv
             if u > _MOS_EXP_CLAMP:
@@ -761,12 +793,53 @@ class NonlinearPlan:
                 gm = be * vds * clm * sg
                 gds = be * ((veff - vds) * clm
                             + (veff - 0.5 * vds) * vds * la)
-                i_real = p * (be * (veff - 0.5 * vds) * vds * clm)
+                i_real = be * (veff - 0.5 * vds) * vds * clm
             else:  # saturation
                 hb = 0.5 * be * veff * veff
                 gm = be * veff * clm * sg
                 gds = hb * la
-                i_real = p * (hb * clm)
+                i_real = hb * clm
+            put(gds)
+            put(gm)
+            put(s * (i_real - gds * (vnd - vns) - gm * (vg - vns)))
+        for (di, gi, si, be, nv, vt, la, bit) in pmos_meta:
+            vd = xl[di]
+            vg = xl[gi]
+            vs = xl[si]
+            if vd - vs > 0.0:  # -(vd - vs) < 0.0
+                vnd = vs
+                vns = vd
+                mask |= bit
+                s = 1.0
+            else:
+                vnd = vd
+                vns = vs
+                s = -1.0
+            vgs = -(vg - vns)
+            vds = -(vnd - vns)
+            vov = vgs - vt
+            u = vov / nv
+            if u > _MOS_EXP_CLAMP:
+                sp = u
+                sg = 1.0
+            elif u < -_MOS_EXP_CLAMP:
+                sp = 0.0
+                sg = 0.0
+            else:
+                sp = log1p(exp(u))
+                sg = 1.0 / (1.0 + exp(-u))
+            veff = nv * sp
+            clm = 1.0 + la * vds
+            if vds < veff:  # triode
+                gm = be * vds * clm * sg
+                gds = be * ((veff - vds) * clm
+                            + (veff - 0.5 * vds) * vds * la)
+                i_real = -(be * (veff - 0.5 * vds) * vds * clm)
+            else:  # saturation
+                hb = 0.5 * be * veff * veff
+                gm = be * veff * clm * sg
+                gds = hb * la
+                i_real = -(hb * clm)
             put(gds)
             put(gm)
             put(s * (i_real - gds * (vnd - vns) - gm * (vg - vns)))

@@ -90,14 +90,17 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     used for the linear fast path so one factorization serves every step
     sharing the same base matrix.
 
-    ``fast_solve`` — route dense solves through
-    :func:`~repro.spice.linalg.solve_dense_nocheck` (bitwise-identical
-    to ``np.linalg.solve``, minus its wrapper overhead).  The caller
-    must hold :func:`~repro.spice.linalg.dense_errstate` so singular
-    matrices raise instead of silently returning NaNs.  The kernel
-    transient loop enables it (holding the errstate around its whole
-    step loop); the legacy loop keeps the plain ``np.linalg.solve``
-    call.
+    ``fast_solve`` — the kernel transient loop's mode.  Dense solves go
+    through :func:`~repro.spice.linalg.solve_dense_nocheck`
+    (bitwise-identical to ``np.linalg.solve``, minus its wrapper
+    overhead), so the caller must hold
+    :func:`~repro.spice.linalg.dense_errstate` (the loop holds it
+    around its whole step loop) or singular matrices return NaNs
+    instead of raising.  A converged Newton solve also leaves the
+    pinned sources' branch rows out: only a transient's final state
+    exposes them, and the loop recovers its last step's
+    (:meth:`~repro.spice.mna.System.recover_branches`).  The legacy
+    loop keeps the plain ``np.linalg.solve`` call.
 
     ``backend`` — a resolved :class:`~repro.spice.backends.SolverBackend`
     to route linear solves through, or ``None`` for the pre-backend
@@ -107,13 +110,14 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     the documented fp tolerance.
 
     Every dense solve runs on the kept unknowns only (see
-    :mod:`repro.spice.mna`): it factors ``A[K,K]`` against
-    ``b[K] - A[K,P]·x_P``, and the full update still carries ``x_P`` at
-    the pinned nodes, so damping and the ``dv < vtol`` test see every
-    node.  The sparse backend and the cached-factorization fast path
-    solve the full system.
+    :mod:`repro.spice.mna`): each iteration assembles the kept blocks
+    and factors ``A[K,K]`` against ``b[K] - A[K,P]·x_P``, and the full
+    update still carries ``x_P`` at the pinned nodes, so damping and
+    the ``dv < vtol`` test see every node.  The sparse backend and the
+    cached-factorization fast path solve the full system.
 
-    Returns the solution vector; raises :class:`ConvergenceError` or
+    Returns the solution vector, pinned sources' branch currents
+    included unless ``fast_solve``; raises :class:`ConvergenceError` or
     :class:`SingularMatrixError` on failure.
     """
     n = system.num_nodes
@@ -132,14 +136,16 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     build_iteration = system.build_iteration
     for _ in range(max_iter):
         ctx.x = x
-        A, b = build_iteration(A_step, b_step, ctx, extra_gmin)
         if sparse:
             # Full Newton refactors every pass on the dense path too
             # (np.linalg.solve factors internally); the sparse kernel
             # just swaps the factorization's complexity class.
+            A, b = build_iteration(A_step, b_step, ctx, extra_gmin,
+                                   full=True)
             x_new = backend.solve(A, b)
         else:
-            y = _solve_kept(system, A, b, pins, fast_solve)
+            A_kk, A_kt = build_iteration(A_step, b_step, ctx, extra_gmin)
+            y = _solve_kept(A_kk, A_kt, pins, fast_solve)
             x_new = system.expand(y, pins)
         # Reuse the solve output as the update buffer (x_new is fresh
         # every pass; in-place subtraction is bitwise the same).
@@ -151,7 +157,8 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
         if dv_max < vtol:
             if sparse:
                 return x
-            return system.complete(x, A, b, y, pins)
+            system.complete(x, y, pins)
+            return x if fast_solve else system.recover_branches(x)
     nodes = _failing_nodes(system, dx, vtol)
     raise ConvergenceError(
         f"Newton iteration did not converge within {max_iter} iterations "
@@ -159,12 +166,12 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
         time=ctx.time, iterations=max_iter, nodes=nodes)
 
 
-def _solve_kept(system: System, A: np.ndarray, b: np.ndarray,
-                pins: tuple, fast_solve: bool) -> np.ndarray:
-    """The kept unknowns ``y`` of ``A x = b``: ``A[K,K] y = b[K] -
-    A[K,P]·x_P``, through :func:`solve_dense_nocheck` (``fast_solve``)
-    or the plain ``np.linalg.solve`` call."""
-    A_kk, b_k = system.reduce(A, b, pins)
+def _solve_kept(A_kk: np.ndarray, A_kt: np.ndarray, pins: tuple,
+                fast_solve: bool) -> np.ndarray:
+    """The kept unknowns ``y`` of ``A x = b``: ``A[K,K] y = [A[K,P] |
+    b[K]]·[-x_P | 1]``, through :func:`solve_dense_nocheck`
+    (``fast_solve``) or the plain ``np.linalg.solve`` call."""
+    b_k = A_kt.dot(pins[2])
     if fast_solve:
         return solve_dense_nocheck(A_kk, b_k)
     try:
@@ -179,12 +186,14 @@ def solve_pinned(system: System, A: np.ndarray, b: np.ndarray, *,
     unknowns: ``x_P`` exactly, ``x_K`` from ``A[K,K]``, the pinned
     branch currents from the pinned nodes' KCL rows.
 
-    ``fast_solve`` as in :func:`newton_solve`.  Raises
-    :class:`SingularMatrixError` when ``A`` is singular.
+    ``fast_solve`` only routes the solve through
+    :func:`solve_dense_nocheck` (the caller holds its errstate).
+    Raises :class:`SingularMatrixError` when ``A`` is singular.
     """
     pins = system.pin_step(b)
-    y = _solve_kept(system, A, b, pins, fast_solve)
-    return system.complete(system.expand(y, pins), A, b, y, pins)
+    y = _solve_kept(*system.kept_blocks(A, b), pins, fast_solve)
+    x = system.complete(system.expand(y, pins), y, pins)
+    return system.recover_branches(x)
 
 
 def _try_solve_lanes(A: np.ndarray, b: np.ndarray

@@ -395,6 +395,10 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
         data[count] = x[:num_nodes]
         count += 1
 
+    if backend is None and not linear:
+        # The fast dense solve leaves the pinned sources' branch rows
+        # out; only the final state exposes them.
+        system.recover_branches(x)
     return TransientResult(times[:count].copy(), data[:count].copy(),
                            node_names, x, rescues=rescues)
 

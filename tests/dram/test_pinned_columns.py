@@ -5,7 +5,8 @@ section 5c).  Two end-to-end checks hold it to the physics and to the
 full-system solve it replaced:
 
 * every accepted step satisfies KCL on every free node, and every
-  pinned node sits at its source's value;
+  pinned node sits at its source's value, on the columns and on the
+  serial dense 4×4 array;
 * with the partition emptied — which runs the same code on the full MNA
   system, bitwise the solve before pinning — sequences sense the same
   bits in the same Newton iterations, and every recorded voltage stays
@@ -42,6 +43,10 @@ TRAJECTORY_BOUND_V = 1e-11
 
 COLUMNS = [("open_sn", 150e3), ("bridge_bl", 31e3), ("short_gnd", 60e3)]
 
+#: Defects on the 4x4 array's cell 5, near their borders, and the
+#: unknowns each array keeps (the open adds the storage-node split).
+ARRAY_DEFECTS = [("open_sn", 3.01e5, 34), ("bridge_wl", 1.802e5, 33)]
+
 
 def _grounded_sources(circuit):
     """``(source, pinned node, sign)`` of every grounded source."""
@@ -71,6 +76,25 @@ def _capture_steps(monkeypatch):
     return steps
 
 
+def _assert_accepted_steps(steps, n_sources):
+    """Every captured step: KCL on every free node under the bound, and
+    every pinned node exactly at its source's value."""
+    system = steps[0][0]
+    n = system.num_nodes
+    free_nodes = system._free[system._free < n]
+    sources = _grounded_sources(system.circuit)
+    assert len(sources) == n_sources
+    assert sorted(node.index for _, node, _ in sources) \
+        == sorted(pinned_unknowns(system.circuit))
+    plan = system.plans.nonlinear
+    for sys_, A_step, b_step, t, temp_c, x, values in steps:
+        i_nl = plan.residual_lanes(x[None, :], temp_c)[0, :sys_.size]
+        residual = b_step + i_nl - A_step @ x
+        assert np.abs(residual[free_nodes]).max() < KCL_BOUND_A, t
+        for (_, node, sign), value in zip(sources, values):
+            assert x[node.index] == sign * value, (node.name, t)
+
+
 class TestAcceptedSteps:
     @pytest.mark.parametrize("kind,resistance", COLUMNS)
     def test_kcl_holds_and_pins_sit_at_their_sources(self, monkeypatch,
@@ -80,20 +104,20 @@ class TestAcceptedSteps:
             runner = ColumnRunner(defect=DefectSite(kind, 0, resistance))
             runner.run_sequence(ops, init_vc)
         assert len(steps) > 900
-        system = steps[0][0]
-        n = system.num_nodes
-        free_nodes = system._free[system._free < n]
-        sources = _grounded_sources(system.circuit)
-        assert len(sources) == 16
-        assert sorted(node.index for _, node, _ in sources) \
-            == sorted(pinned_unknowns(system.circuit))
-        plan = system.plans.nonlinear
-        for sys_, A_step, b_step, t, temp_c, x, values in steps:
-            i_nl = plan.residual_lanes(x[None, :], temp_c)[0, :sys_.size]
-            residual = b_step + i_nl - A_step @ x
-            assert np.abs(residual[free_nodes]).max() < KCL_BOUND_A, t
-            for (_, node, sign), value in zip(sources, values):
-                assert x[node.index] == sign * value, (node.name, t)
+        _assert_accepted_steps(steps, 16)
+
+    @pytest.mark.parametrize("kind,resistance,kept", ARRAY_DEFECTS)
+    def test_array_kcl_holds_and_pins_sit_at_their_sources(
+            self, monkeypatch, kind, resistance, kept):
+        """The serial dense 4x4 array: 6 pinned nodes, the rest kept."""
+        steps = _capture_steps(monkeypatch)
+        for init_vc in (2.4, 0.0):
+            runner = ArrayRunner(defect=DefectSite(kind, 5, resistance),
+                                 geometry=(4, 4))
+            runner.run_sequence("r nop r", init_vc)
+        assert len(steps) > 700
+        assert len(steps[0][0]._free) == kept
+        _assert_accepted_steps(steps, 6)
 
 
 def _run(runner_factory, ops, init_vc):

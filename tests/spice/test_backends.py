@@ -186,7 +186,7 @@ class TestSparsityPattern:
         ctx = AnalysisContext(time=1e-9, dt=1e-10, temp_c=27.0, x=x,
                               x_prev=x, method="be")
         A_step, b_step = system.build_step(ctx)
-        A, _ = system.build_iteration(A_step, b_step, ctx)
+        A, _ = system.build_iteration(A_step, b_step, ctx, full=True)
         outside = A.reshape(-1)[~mask]
         assert not np.any(outside != 0.0)
 

@@ -53,7 +53,7 @@ def _iteration(system, x, dt, time=0.0, temp_c=27.0, x_prev=None):
     ctx = AnalysisContext(time=time, dt=dt, temp_c=temp_c, x=x,
                           x_prev=x if x_prev is None else x_prev)
     A_step, b_step = system.build_step(ctx)
-    return system.build_iteration(A_step, b_step, ctx)
+    return system.build_iteration(A_step, b_step, ctx, full=True)
 
 
 def _assert_close_blockwise(got, want, num_nodes):
@@ -137,7 +137,7 @@ class TestPartition:
         x0 = np.zeros(system.size)
         ctx = AnalysisContext(time=0.0, dt=None, x=x0, x_prev=x0)
         A_step, b_step = system.build_step(ctx)
-        A, b = system.build_iteration(A_step, b_step, ctx)
+        A, b = system.build_iteration(A_step, b_step, ctx, full=True)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(A, b)
         with pytest.raises(SingularMatrixError):
@@ -174,6 +174,108 @@ class TestAgainstTheFullSolve:
         assert np.array_equal(got[system._pin_nodes],
                               system._pin_sign * b[system._pin_rows])
         _assert_close_blockwise(got, want, n)
+
+
+def _in_layout(system, A, b):
+    """The kept layout's three blocks of a full ``A``/``b``, indexed
+    directly: ``A[K,K]``, ``[A[K,P] | b[K]]`` and ``[A[P,K] | A[P,P] |
+    b[P]]``."""
+    K, P = system._free, system._pin_nodes
+    return (A[np.ix_(K, K)],
+            np.hstack([A[np.ix_(K, P)], b[K, None]]),
+            np.hstack([A[np.ix_(P, K)], A[np.ix_(P, P)], b[P, None]]))
+
+
+def _kept(system, x, dt, time, temp_c, x_prev, extra_gmin):
+    """``build_iteration``'s kept blocks plus the pinned rows it leaves
+    in place, copied, and the full assembly of the same iterate."""
+    ctx = AnalysisContext(time=time, dt=dt, temp_c=temp_c, x=x,
+                          x_prev=x_prev)
+    A_step, b_step = system.build_step(ctx)
+    A_kk, A_kt = system.build_iteration(A_step, b_step, ctx, extra_gmin)
+    kept = (A_kk.copy(), A_kt.copy(), system._A_pt.copy())
+    A, b = system.build_iteration(A_step, b_step, ctx, extra_gmin,
+                                  full=True)
+    return kept, _in_layout(system, A, b)
+
+
+def _bitwise(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+#: Node voltages of the random iterates: below ground to above Vdd, so
+#: NMOS and PMOS devices both conduct in either direction.
+ITERATE_VOLTS = (-0.5, 3.0)
+
+
+class TestKeptLayout:
+    """``build_iteration`` assembles straight into the kept layout.  Its
+    blocks must be bitwise the full assembly's entries, for the plan
+    scatter (relabelled) and for the per-device walk (gathered)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["O3", "B1", "Sg", "array4x4"]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           log_dt=st.floats(-12.0, -8.0),
+           temp_c=st.floats(-40.0, 125.0),
+           extra_gmin=st.sampled_from([0.0, 1e-9, 1e-3]),
+           pinned=st.booleans())
+    def test_blocks_are_the_full_assembly_bitwise(self, name, seed, log_dt,
+                                                  temp_c, extra_gmin,
+                                                  pinned):
+        rng = np.random.default_rng(seed)
+        systems = [System(_netlist(name), use_plans=plans)
+                   for plans in (True, False)]
+        if not pinned:
+            for system in systems:
+                system._partition({})
+        n, size = systems[0].num_nodes, systems[0].size
+        x = np.zeros(size)
+        x[:n] = rng.uniform(*ITERATE_VOLTS, n)
+        x_prev = x.copy()
+        x_prev[:n] += rng.normal(0.0, 0.3, n)
+        args = (x, 10.0 ** log_dt, rng.uniform(0.0, 60e-9), temp_c,
+                x_prev, extra_gmin)
+        (plan, plan_full), (walk, walk_full) = (
+            _kept(system, *args) for system in systems)
+        assert len(plan[2]) == (16 if name != "array4x4" else 6) * pinned
+        assert _bitwise(plan, plan_full)
+        assert _bitwise(walk, walk_full)
+        assert _bitwise(plan, walk)
+
+    @pytest.mark.parametrize("name", ["O3", "B1", "Sg", "array4x4"])
+    def test_iterates_swap_nmos_and_pmos_devices(self, name):
+        """The property's iterates reverse the drain and source of NMOS
+        and PMOS devices alike (the two loops of the scalar kernel);
+        the array has no sense amplifier, so no PMOS devices."""
+        plan = System(_netlist(name)).plans.nonlinear
+        polarities = set(plan._mos_pol.tolist())
+        assert polarities == ({1.0} if name == "array4x4"
+                              else {1.0, -1.0})
+        rng = np.random.default_rng(0)
+        swaps = dict.fromkeys(polarities, 0)
+        for _ in range(20):
+            x = np.append(rng.uniform(*ITERATE_VOLTS, plan.size), 0.0)
+            d = x[plan._mos_d] - x[plan._mos_s]
+            swapped = plan._mos_pol * d < 0.0
+            for pol in swaps:
+                swaps[pol] += int(swapped[plan._mos_pol == pol].sum())
+        assert all(count > 0 for count in swaps.values())
+
+    def test_the_step_image_is_cached_per_step_matrix(self):
+        """Only a cached step matrix gets its image cached; an equal
+        copy (a DC or test assembly) is gathered afresh."""
+        system = System(_netlist("O3"))
+        x = np.zeros(system.size)
+        ctx = AnalysisContext(time=0.0, dt=1e-10, x=x, x_prev=x)
+        A_step = system.step_matrix(1e-10, "be")
+        b_step = system.step_rhs(ctx)
+        first = system.build_iteration(A_step, b_step, ctx)[0].copy()
+        assert list(system._kept_images) == [(1e-10, "be")]
+        again = system.build_iteration(A_step.copy(), b_step, ctx)[0]
+        assert list(system._kept_images) == [(1e-10, "be")]
+        assert np.array_equal(first, again)
 
 
 def _sourced_rc(leak: bool) -> Circuit:

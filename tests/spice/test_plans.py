@@ -77,9 +77,20 @@ def _assemble_both(circuit, x_vals, dt, method, temp_c):
     out = {}
     for tag, system in (("plan", sys_p), ("legacy", sys_f)):
         A_step, b_step = system.build_step(ctx)
-        A_it, b_it = system.build_iteration(A_step, b_step, ctx)
+        A_it, b_it = system.build_iteration(A_step, b_step, ctx,
+                                            full=True)
         out[tag] = (A_step.copy(), b_step.copy(), A_it.copy(), b_it.copy())
     return sys_p, out
+
+
+def _kept_of_full(system, A, b):
+    """The kept layout's blocks of a full ``A``/``b``, indexed
+    directly: ``A[K,K]``, ``[A[K,P] | b[K]]``, ``[A[P,K] | A[P,P] |
+    b[P]]``."""
+    K, P = system._free, system._pin_nodes
+    return (A[np.ix_(K, K)],
+            np.hstack([A[np.ix_(K, P)], b[K, None]]),
+            np.hstack([A[np.ix_(P, K)], A[np.ix_(P, P)], b[P, None]]))
 
 
 class TestAssemblyParity:
@@ -94,6 +105,31 @@ class TestAssemblyParity:
         sys_p, out = _assemble_both(circuit, x_vals, dt, method, temp_c)
         for got, want in zip(out["plan"], out["legacy"]):
             assert np.array_equal(got, want)  # bitwise, not approx
+
+    @given(circuit=circuits(),
+           x_vals=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=12),
+           dt=st.sampled_from([1e-12, 1e-10, 2.5e-9]),
+           extra_gmin=st.sampled_from([0.0, 1e-6]))
+    @settings(max_examples=60, deadline=None)
+    def test_kept_blocks_are_the_full_assembly(self, circuit, x_vals, dt,
+                                               extra_gmin):
+        """On any topology (floating sources, a node pinned twice, a
+        source grounded at its positive terminal), the kept blocks of
+        the plan scatter and of the per-device walk are the full
+        assembly's entries, bit for bit."""
+        for use_plans in (True, False):
+            system = System(circuit, use_plans=use_plans)
+            x = np.resize(np.asarray(x_vals, dtype=float), system.size)
+            ctx = AnalysisContext(time=1e-9, dt=dt, temp_c=27.0, x=x,
+                                  x_prev=x)
+            A_step, b_step = system.build_step(ctx)
+            A_kk, A_kt = system.build_iteration(A_step, b_step, ctx,
+                                                extra_gmin)
+            kept = (A_kk.copy(), A_kt.copy(), system._A_pt.copy())
+            A, b = system.build_iteration(A_step, b_step, ctx, extra_gmin,
+                                          full=True)
+            for got, want in zip(kept, _kept_of_full(system, A, b)):
+                assert got.tobytes() == want.tobytes()
 
     @given(circuit=circuits(),
            x_vals=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=12),
@@ -133,12 +169,17 @@ class TestAssemblyParity:
         ctx = AnalysisContext(time=0.5e-9, dt=dt, temp_c=27.0, x=x,
                               x_prev=x, method=method)
         A_p, b_p = sys_p.build_step(ctx)
-        A_it_p, b_it_p = sys_p.build_iteration(A_p, b_p, ctx)
+        A_it_p, b_it_p = sys_p.build_iteration(A_p, b_p, ctx, full=True)
         A_it_p, b_it_p = A_it_p.copy(), b_it_p.copy()
         A_f, b_f = sys_f.build_step(ctx)
-        A_it_f, b_it_f = sys_f.build_iteration(A_f, b_f, ctx)
+        A_it_f, b_it_f = sys_f.build_iteration(A_f, b_f, ctx, full=True)
         assert np.array_equal(A_it_p, A_it_f)
         assert np.array_equal(b_it_p, b_it_f)
+        # the relabelled plan of the kept layout inherits the array pass
+        kept_p = [a.copy() for a in sys_p.build_iteration(A_p, b_p, ctx)]
+        kept_f = sys_f.build_iteration(A_f, b_f, ctx)
+        for got, want in zip(kept_p, kept_f):
+            assert np.array_equal(got, want)
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,7 +281,7 @@ class TestCompilerFallbacks:
         ctx = AnalysisContext(time=0.0, dt=None, temp_c=27.0, x=x,
                               x_prev=x)
         A_step, b_step = system.build_step(ctx)
-        A, _ = system.build_iteration(A_step, b_step, ctx)
+        A, _ = system.build_iteration(A_step, b_step, ctx, full=True)
         assert A[0, 0] == pytest.approx(1e-3 + 1e-9, rel=1e-12)
 
 
