@@ -1,8 +1,8 @@
-"""Solver-kernel benchmark: legacy per-device loop vs the kernel fast path.
+"""Solver benchmark: the serial transient step loop on two hot paths.
 
-Measures the two electrical hot paths the kernel layer was built for and
-writes the before/after numbers to ``reports/solver.txt`` (repo root, the
-acceptance artifact) and ``reports/solver.txt``:
+Times the two electrical hot paths the solver kernels were built for and
+writes the numbers to ``reports/solver.txt`` (repo root, the acceptance
+artifact) and ``BENCH_solver.json``:
 
 * the ``w0 w1 r1`` operation-cycle sequence on the reference cell open
   (the unit of work behind every electrical sweep) — cold runs, i.e. a
@@ -12,129 +12,87 @@ acceptance artifact) and ``reports/solver.txt``:
   .fig2_result_planes` on a reduced resistance grid) — the sweep shape
   that reuses one system across hundreds of chained cycles.
 
-The legacy baseline runs the pre-kernel per-device loop
-(``set_kernels_default(False)`` builds systems with ``use_plans=False``
-and solves through ``np.linalg.solve``).  Both loops solve the same
-kept block of the pinned-unknown partition (DESIGN.md section 5c), so
-the reported speedups measure the kernels' assembly and step-loop work
-against the per-device walk on equal solves.  Both paths are also
-checked for result parity on the cycle sequence — the kernel path must
-be bitwise-identical.
+There is one serial step loop, so the report holds absolute times, not
+speedups.  Parity: the timed ``w0 w1 r1`` run must match its entry in
+``tests/golden/spice_transients.json`` (time grids and sensed bits
+exactly, voltages within the golden's 1e-11 V) through the golden replay
+test's own comparator.
 
-Run standalone (CI runs ``--quick``)::
+Run standalone (CI runs ``--quick --check-parity``)::
 
     PYTHONPATH=src python benchmarks/bench_solver.py [--quick] [--check]
 """
 
 from __future__ import annotations
 
+import json
 import platform
+import sys
 
 try:
-    from benchmarks._common import best_of, emit, fail, make_parser
+    from benchmarks._common import (REPO_ROOT, best_of, emit, fail,
+                                    make_parser)
 except ImportError:                               # run as a script
-    from _common import best_of, emit, fail, make_parser
+    from _common import REPO_ROOT, best_of, emit, fail, make_parser
+
+sys.path.insert(0, str(REPO_ROOT))  # the golden replay lives in tests/
 
 import numpy as np  # noqa: E402
 
-from repro.experiments.figures import (  # noqa: E402
-    REFERENCE_DEFECT,
-    fig2_result_planes,
+from repro.experiments.figures import fig2_result_planes  # noqa: E402
+from tests.spice.test_golden_transients import (  # noqa: E402
+    CYCLE_OPS,
+    GOLDEN,
+    mismatches,
+    record_cycles,
+    run_cycles,
 )
-from repro.analysis.interface import electrical_model  # noqa: E402
-from repro.spice.transient import set_kernels_default  # noqa: E402
-
-#: The cycle sequence benchmarked per ISSUE acceptance (w0/w1/r).
-CYCLE_OPS = "w0 w1 r1"
-
-
-def _run_cycles():
-    model = electrical_model(REFERENCE_DEFECT, record=True)
-    return model.run_sequence(CYCLE_OPS, init_vc=0.0)
 
 
 def _run_planes(points: int):
     return fig2_result_planes(backend="electrical", points=points)
 
 
-def _with_kernels(enabled: bool, fn):
-    prev = set_kernels_default(enabled)
-    try:
-        return fn()
-    finally:
-        set_kernels_default(prev)
-
-
-def _parity_check() -> bool:
-    """Kernel path must reproduce the legacy results bit for bit."""
-    fast = _with_kernels(True, _run_cycles)
-    legacy = _with_kernels(False, _run_cycles)
-    ok = True
-    for a, b in zip(fast.results, legacy.results):
-        ok &= np.array_equal(a.times, b.times)
-        ok &= np.array_equal(a.vc, b.vc)
-        ok &= a.vc_end == b.vc_end and a.sensed == b.sensed
-    return ok
-
-
 def run_benchmark(quick: bool = False) -> dict:
     rounds = 3 if quick else 5
     points = 4 if quick else 6
 
-    bitwise = _parity_check()
-
-    fast_s, _ = best_of(lambda: _with_kernels(True, _run_cycles), rounds)
-    legacy_s, _ = best_of(lambda: _with_kernels(False, _run_cycles),
-                           rounds)
+    cycles_s, seq = best_of(run_cycles, rounds)
+    golden = json.loads(GOLDEN.read_text())["cases"]["w0_w1_r1"]
+    bad = mismatches(record_cycles(seq), golden)
 
     plane_rounds = 1 if quick else 2
-    fast_p, _ = best_of(
-        lambda: _with_kernels(True, lambda: _run_planes(points)),
-        plane_rounds)
-    legacy_p, _ = best_of(
-        lambda: _with_kernels(False, lambda: _run_planes(points)),
-        plane_rounds)
+    planes_s, _ = best_of(lambda: _run_planes(points), plane_rounds)
 
     return {
         "quick": quick,
         "rounds": rounds,
+        "plane_rounds": plane_rounds,
         "points": points,
-        "bitwise": bitwise,
-        "cycles_fast_s": fast_s,
-        "cycles_legacy_s": legacy_s,
-        "cycles_speedup": legacy_s / fast_s,
-        "planes_fast_s": fast_p,
-        "planes_legacy_s": legacy_p,
-        "planes_speedup": legacy_p / fast_p,
+        "parity": not bad,
+        "mismatches": bad[:5],
+        "cycles_s": cycles_s,
+        "planes_s": planes_s,
     }
 
 
 def render(res: dict) -> str:
     mode = "quick" if res["quick"] else "full"
+    parity = ("matches tests/golden/spice_transients.json" if res["parity"]
+              else "MISMATCH: " + "; ".join(res["mismatches"]))
     lines = [
-        f"solver kernel benchmark ({mode} mode)",
+        f"solver benchmark ({mode} mode)",
         f"host: {platform.platform()} / python "
         f"{platform.python_version()} / numpy {np.__version__}",
-        f"timing: best of {res['rounds']} cold runs "
-        f"(fresh model + compiled system each)",
         "",
         f"{CYCLE_OPS!r} cycle sequence (electrical, reference cell open)",
-        f"  before (legacy per-device loop) : "
-        f"{res['cycles_legacy_s'] * 1e3:8.1f} ms",
-        f"  after  (kernel fast path)       : "
-        f"{res['cycles_fast_s'] * 1e3:8.1f} ms",
-        f"  speedup                         : "
-        f"{res['cycles_speedup']:8.2f}x   (target >= 3x)",
-        f"  result parity                   : "
-        f"{'bitwise-identical' if res['bitwise'] else 'MISMATCH'}",
+        f"  best of {res['rounds']} cold runs (fresh model + compiled "
+        f"system each): {res['cycles_s'] * 1e3:8.1f} ms",
+        f"  golden parity: {parity}",
         "",
         f"fig2 electrical plane path ({res['points']}-point grid)",
-        f"  before (legacy per-device loop) : "
-        f"{res['planes_legacy_s'] * 1e3:8.1f} ms",
-        f"  after  (kernel fast path)       : "
-        f"{res['planes_fast_s'] * 1e3:8.1f} ms",
-        f"  speedup                         : "
-        f"{res['planes_speedup']:8.2f}x   (target >= 2x)",
+        f"  best of {res['plane_rounds']} runs: "
+        f"{res['planes_s'] * 1e3:8.1f} ms",
     ]
     return "\n".join(lines)
 
@@ -143,14 +101,10 @@ def main(argv=None) -> int:
     args = make_parser(__doc__).parse_args(argv)
 
     res = run_benchmark(quick=args.quick)
-    emit("solver", render(res),
-         dict(res, parity="bitwise" if res["bitwise"] else "mismatch"))
+    emit("solver", render(res), res)
 
-    if (args.check or args.check_parity) and not res["bitwise"]:
-        return fail("kernel path is not bitwise-identical")
-    if args.check and (res["cycles_speedup"] < 3.0
-                       or res["planes_speedup"] < 2.0):
-        return fail("speedup targets missed")
+    if (args.check or args.check_parity) and not res["parity"]:
+        return fail("the timed w0 w1 r1 run departs from the golden")
     return 0
 
 

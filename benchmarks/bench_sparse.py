@@ -66,7 +66,7 @@ def _run(arr, backend: str):
 def _sparse_engaged(arr) -> bool:
     """Did a forced-sparse resolution actually yield the sparse backend?"""
     from repro.spice.backends import resolve_backend
-    return resolve_backend("sparse", System(arr.circuit)).sparse
+    return resolve_backend("sparse", System(arr.circuit)) is not None
 
 
 def run_benchmark(quick: bool = False) -> dict:

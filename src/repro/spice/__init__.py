@@ -22,12 +22,8 @@ against analytic solutions in the test suite.
 from repro.spice.backends import (
     BACKEND_CHOICES,
     BackendError,
-    DenseBackend,
-    SolverBackend,
     SparseBackend,
-    available_backends,
     backend_default,
-    register_backend,
     resolve_backend,
     set_backend_default,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "Constant",
     "ConvergenceError",
     "CurrentSource",
-    "DenseBackend",
     "Diode",
     "GROUND",
     "Mosfet",
@@ -71,16 +66,13 @@ __all__ = [
     "Pulse",
     "Resistor",
     "SingularMatrixError",
-    "SolverBackend",
     "SparseBackend",
     "SpiceError",
     "TransientResult",
     "VoltageSource",
     "Waveform",
-    "available_backends",
     "backend_default",
     "dc_operating_point",
-    "register_backend",
     "resolve_backend",
     "set_backend_default",
     "transient",

@@ -1,20 +1,13 @@
-"""Pluggable solver backends: dense LU and sparse CSR behind one API.
+"""Solver backend selection: the dense kernels or a sparse CSR path.
 
-The Newton/transient drivers used to hard-code dense solves
-(:func:`~repro.spice.linalg.solve_dense_nocheck`, ``np.linalg.solve``,
-:func:`~repro.spice.linalg.lu_factor`).  That is the right call at the
-~30-node scale of the seed column — and fatal at the 100+-node scale of
-the :mod:`repro.dram.array` netlists, where the O(n^3) dense factor
-dominates every transient.  This module makes the linear-solve kernel a
-*backend* the drivers resolve through a registry:
+The Newton/transient drivers solve dense by default
+(:func:`~repro.spice.linalg.solve_dense_nocheck` on the kept block,
+:func:`~repro.spice.linalg.lu_factor` for the linear fast path).  That
+is the right call at the ~30-node scale of the seed column — and fatal
+at the 100+-node scale of the :mod:`repro.dram.array` netlists, where
+the O(n^3) dense factor dominates every transient.  This module decides
+per system which of the two runs:
 
-* :class:`SolverBackend` — the protocol: ``solve`` (one-shot),
-  ``factorize`` (reusable :class:`Factorization` with ``solve`` /
-  ``solve_fast``) and ``refactorize`` (same pattern, new values).
-* :class:`DenseBackend` — routes to the exact pre-existing dense
-  kernels.  The dense path through the drivers is bitwise identical to
-  the pre-backend code: resolution hands the drivers the same functions
-  they called before.
 * :class:`SparseBackend` — CSR + :func:`scipy.sparse.linalg.splu`.  The
   sparsity pattern is built **once per topology** from the compiled
   stamp plans (:mod:`repro.spice.plans`): the union of every flat
@@ -27,14 +20,15 @@ dominates every transient.  This module makes the linear-solve kernel a
   (:class:`~repro.spice.linalg.FactorizationCache`); the symbolic
   structure (indptr/indices) is shared by every factorization of the
   system.
-* a **registry** (:func:`register_backend`, :func:`available_backends`)
-  plus the **auto-selection policy** (:func:`resolve_backend`): keyed
-  on system size and pattern density, measured so the seed column stays
-  dense (bitwise parity) and array-scale systems go sparse.
+* :func:`resolve_backend` — the selection policy: ``dense``, ``sparse``
+  or ``auto`` (keyed on system size and pattern density, measured so
+  the seed column stays dense and array-scale systems go sparse).  It
+  returns ``None`` for dense, which the drivers read as "run the dense
+  kernels", or the system's :class:`SparseBackend`.
 
 Graceful degradation: when scipy is missing, the plans fell back to the
 per-device path (no trustworthy pattern), or — under ``auto`` — the
-pattern is too dense to win, resolution returns the dense backend and
+pattern is too dense to win, resolution returns ``None`` (dense) and
 counts the degradation in the system's kernel counters
 (:mod:`repro.diagnostics`).
 """
@@ -44,8 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.spice.errors import SingularMatrixError, SpiceError
-from repro.spice.linalg import (LUFactorization, lu_factor, solve_dense,
-                                solve_dense_lanes, solve_dense_nocheck)
 
 #: ``auto`` picks the sparse backend only at and above this system size.
 #: Measured crossover of gather+splu vs the LAPACK dense solve on
@@ -85,93 +77,11 @@ class BackendError(SpiceError):
 
 
 # ----------------------------------------------------------------------
-# protocol
-# ----------------------------------------------------------------------
-class Factorization:
-    """Protocol of a reusable factorization: ``solve`` + ``solve_fast``.
-
-    :class:`~repro.spice.linalg.LUFactorization` satisfies it natively;
-    :class:`SparseFactorization` wraps a SuperLU object.
-    """
-
-    def solve(self, b: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def solve_fast(self, b: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-class SolverBackend:
-    """Protocol all solver backends implement.
-
-    ``sparse`` is the dispatch flag the hot loops branch on — the dense
-    branches must stay byte-for-byte the pre-backend code, so drivers
-    check one attribute instead of isinstance chains.
-    """
-
-    #: Registry name; also the ``--backend`` CLI value.
-    name: str = "abstract"
-    #: True when ``solve`` consumes the dense scratch through a sparse path.
-    sparse: bool = False
-
-    def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """One-shot solve of ``A x = b``; raises
-        :class:`SingularMatrixError` on a singular matrix."""
-        raise NotImplementedError
-
-    def factorize(self, A: np.ndarray) -> Factorization:
-        """Factor ``A`` for repeated solves against many right-hand sides."""
-        raise NotImplementedError
-
-    def refactorize(self, fact: Factorization,
-                    A: np.ndarray) -> Factorization:
-        """Re-factor with new values on the same structure.
-
-        The base implementation simply factorizes again; backends with a
-        reusable symbolic analysis override it.
-        """
-        return self.factorize(A)
-
-
-# ----------------------------------------------------------------------
-# dense backend
-# ----------------------------------------------------------------------
-class DenseBackend(SolverBackend):
-    """The pre-existing dense LU kernels behind the backend API.
-
-    Every method routes to the exact function the drivers called before
-    the backend layer existed, so a dense-resolved run is bitwise
-    identical to the pre-backend code.
-    """
-
-    name = "dense"
-    sparse = False
-
-    def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return solve_dense(A, b)
-
-    def solve_nocheck(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """:func:`~repro.spice.linalg.solve_dense_nocheck` (caller holds
-        :func:`~repro.spice.linalg.dense_errstate`)."""
-        return solve_dense_nocheck(A, b)
-
-    def solve_lanes(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched lane solve (see the lane batcher)."""
-        return solve_dense_lanes(A, b)
-
-    def factorize(self, A: np.ndarray) -> LUFactorization:
-        return lu_factor(A)
-
-
-#: Shared dense backend instance (stateless).
-DENSE = DenseBackend()
-
-
-# ----------------------------------------------------------------------
 # sparse backend
 # ----------------------------------------------------------------------
-class SparseFactorization(Factorization):
-    """A SuperLU factorization behind the :class:`Factorization` protocol."""
+class SparseFactorization:
+    """A SuperLU factorization with the ``solve`` / ``solve_fast`` pair
+    of :class:`~repro.spice.linalg.LUFactorization`."""
 
     __slots__ = ("_lu",)
 
@@ -247,7 +157,7 @@ def _plan_flat_slots(system) -> np.ndarray | None:
     return np.concatenate([np.asarray(p, dtype=np.intp) for p in parts])
 
 
-class SparseBackend(SolverBackend):
+class SparseBackend:
     """CSR + SuperLU solves over a plan-derived fixed sparsity pattern.
 
     Bound to one :class:`~repro.spice.mna.System`: the pattern is the
@@ -255,9 +165,6 @@ class SparseBackend(SolverBackend):
     (the DRAM runner chains cycles over one system) pays the symbolic
     construction once.
     """
-
-    name = "sparse"
-    sparse = True
 
     def __init__(self, system, pattern: SparsityPattern):
         self.system = system
@@ -309,12 +216,9 @@ class SparseBackend(SolverBackend):
         self._count("sparse_factor")
         return SparseFactorization(lu)
 
-    def refactorize(self, fact: Factorization,
-                    A: np.ndarray) -> SparseFactorization:
-        """New values, same structure (the shared indptr/indices)."""
-        return self.factorize(A)
-
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One-shot solve of ``A x = b``; raises
+        :class:`SingularMatrixError` on a singular matrix."""
         x = self.factorize(A).solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError(
@@ -323,25 +227,8 @@ class SparseBackend(SolverBackend):
 
 
 # ----------------------------------------------------------------------
-# registry + selection policy
+# selection policy
 # ----------------------------------------------------------------------
-#: name -> factory(system) -> SolverBackend | None (None = unavailable).
-_REGISTRY: dict = {}
-
-
-def register_backend(name: str, factory) -> None:
-    """Register ``factory(system) -> SolverBackend | None`` under ``name``."""
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names (selection adds ``auto`` on top)."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_backend("dense", lambda system: DENSE)
-register_backend("sparse", SparseBackend.from_system)
-
 #: Valid values for the process-wide default / the ``--backend`` flag.
 BACKEND_CHOICES = ("auto", "dense", "sparse")
 
@@ -356,10 +243,7 @@ def set_backend_default(name: str) -> str:
     when unavailable).  Returns the previous value.
     """
     global _BACKEND_DEFAULT
-    if name not in BACKEND_CHOICES and name not in _REGISTRY:
-        raise BackendError(
-            f"unknown backend {name!r}; choose one of "
-            f"{', '.join(BACKEND_CHOICES)}")
+    _check_name(name)
     previous = _BACKEND_DEFAULT
     _BACKEND_DEFAULT = name
     return previous
@@ -368,6 +252,13 @@ def set_backend_default(name: str) -> str:
 def backend_default() -> str:
     """Current process-wide backend selection."""
     return _BACKEND_DEFAULT
+
+
+def _check_name(name: str) -> None:
+    if name not in BACKEND_CHOICES:
+        raise BackendError(
+            f"unknown backend {name!r}; choose one of "
+            f"{', '.join(BACKEND_CHOICES)}")
 
 
 def resolve_lane_mode(system, n_lanes: int,
@@ -384,29 +275,27 @@ def resolve_lane_mode(system, n_lanes: int,
     """
     if n_lanes < 2:
         return "serial"
-    backend = resolve_backend(name, system)
-    return "sparse" if backend.sparse else "dense"
+    return "dense" if resolve_backend(name, system) is None else "sparse"
 
 
-def resolve_backend(name: str | None, system) -> SolverBackend:
-    """Resolve a backend request for one system.
+def resolve_backend(name: str | None, system) -> SparseBackend | None:
+    """Resolve a backend request for one system: ``None`` for the dense
+    kernels, or the system's :class:`SparseBackend`.
 
     ``None`` reads the process-wide default.  ``auto`` applies the
     size/density policy (:data:`SPARSE_AUTO_MIN_SIZE`,
     :data:`SPARSE_AUTO_MAX_DENSITY`); explicit ``sparse`` skips the size
     gate but still degrades gracefully — scipy missing or no compiled
     pattern — to dense, recording the outcome in the system's kernel
-    counters either way.
+    counters either way.  An unknown name raises :class:`BackendError`.
     """
     if name is None:
         name = _BACKEND_DEFAULT
-    if name == "dense":
-        return DENSE
+    _check_name(name)
     if name == "sparse":
         backend = SparseBackend.from_system(system)
         if backend is None:
             system._count("backend_sparse_degraded")
-            return DENSE
         return backend
     if name == "auto":
         if system.size >= SPARSE_AUTO_MIN_SIZE and scipy_available():
@@ -420,11 +309,4 @@ def resolve_backend(name: str | None, system) -> SolverBackend:
             # count it so benches can attribute the speedup to the
             # dense/lane fast paths the trim re-enabled.
             system._count("backend_trim_dense")
-        return DENSE
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise BackendError(
-            f"unknown backend {name!r}; choose one of "
-            f"{', '.join(BACKEND_CHOICES)}")
-    backend = factory(system)
-    return DENSE if backend is None else backend
+    return None

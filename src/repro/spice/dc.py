@@ -11,8 +11,6 @@ value up to 100 % — the last line of defence before a
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.spice.backends import resolve_backend
 from repro.spice.errors import ConvergenceError
 from repro.spice.mna import DEFAULT_GMIN, System
@@ -28,20 +26,16 @@ def dc_operating_point(circuit: Circuit, *, temp_c: float = 27.0,
                        ) -> dict[str, float]:
     """Solve the DC operating point; returns ``{node_name: volts}``.
 
-    Pass a list as ``rescues`` to learn which rescue stages (if any) the
-    solve needed — the stage names are appended in order.  ``backend``
-    selects the linear-solver backend (``None`` follows the process-wide
-    default; dense resolutions keep the bitwise-identical dense path).
+    ``initial`` (``{node_name: volts}``) seeds the Newton iterate;
+    an unknown node raises :class:`~repro.spice.errors.SpiceError`, as
+    in :func:`~repro.spice.transient.transient`.  Pass a list as
+    ``rescues`` to learn which rescue stages (if any) the solve needed —
+    the stage names are appended in order.  ``backend`` selects the
+    linear-solver backend (``None`` follows the process-wide default).
     """
     system = System(circuit, gmin=gmin)
-    resolved = resolve_backend(backend, system)
-    backend_obj = resolved if resolved.sparse else None
-    x = np.zeros(system.size)
-    if initial:
-        for name, volts in initial.items():
-            if circuit.has_node(name) and name not in ("0", "gnd", "GND",
-                                                       "ground"):
-                x[circuit.node(name).index] = float(volts)
+    backend_obj = resolve_backend(backend, system)
+    x = system.initial_state(initial)
 
     ctx = AnalysisContext(time=0.0, dt=None, temp_c=temp_c, x=x, x_prev=x)
     A_step, b_step = system.build_step(ctx)

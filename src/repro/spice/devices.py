@@ -75,7 +75,10 @@ class Capacitor(Device):
     * trapezoidal:    ``geq = 2C/dt``, ``ieq = geq * v_prev + i_prev``
 
     where ``i_prev`` (trapezoidal only) is the device current at the previous
-    accepted time point, tracked internally.
+    accepted time point.  The compiled dynamic plan
+    (:class:`~repro.spice.plans.DynamicPlan`) advances it after every
+    accepted step and writes it back here, so chained transients resume
+    from it.
     """
 
     def __init__(self, name: str, a: Node, b: Node, capacitance: float,
@@ -97,9 +100,6 @@ class Capacitor(Device):
     def b(self) -> Node:
         return self.node_list[1]
 
-    def reset_history(self) -> None:
-        self._i_prev = 0.0
-
     def stamp_dynamic(self, st: Stamper) -> None:
         dt = st.ctx.dt
         if dt is None:  # DC: capacitor is an open circuit
@@ -114,24 +114,6 @@ class Capacitor(Device):
         st.conductance(self.a, self.b, geq)
         # Companion current source pushes ieq into node a (out of b).
         st.current(self.b, self.a, ieq)
-
-    def _branch_voltage(self, x) -> float:
-        va = 0.0 if self.a.is_ground else x[self.a.index]
-        vb = 0.0 if self.b.is_ground else x[self.b.index]
-        return va - vb
-
-    def accept_step(self, x_prev, x_now, dt: float, method: str) -> None:
-        """Update integration history after a step is accepted.
-
-        For the trapezoidal rule the device current satisfies
-        ``i_now = 2C/dt * (v_now - v_prev) - i_prev``.
-        """
-        if method != "trap":
-            return
-        v_prev = self._branch_voltage(x_prev)
-        v_now = self._branch_voltage(x_now)
-        self._i_prev = (2.0 * self.capacitance / dt * (v_now - v_prev)
-                        - self._i_prev)
 
 
 class VoltageSource(Device):

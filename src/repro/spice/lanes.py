@@ -9,10 +9,10 @@ a single masked Newton loop per timestep
 (:func:`~repro.spice.solver.newton_solve_lanes`), so the per-step cost
 is one batched LAPACK call instead of N sequential solves.
 
-Policy, mirroring the ``use_kernels`` convention:
+Policy:
 
 * lanes are **opt-in** (``repro.spice.transient.set_lanes_default``);
-  the serial path stays the default and the parity baseline;
+  the serial path stays the default and the lanes' reference;
 * lane results carry a documented **fp tolerance** (~1e-5 V) instead of
   the bitwise guarantee — the batched scatter sums device deltas apart
   from the base buffer and the device math uses numpy's SIMD
@@ -269,7 +269,7 @@ class SparseLaneSystem(LaneSystem):
                  backend: SparseBackend | None = None):
         if backend is None:
             backend = SparseBackend.from_system(system)
-        if backend is None or not getattr(backend, "sparse", False):
+        if backend is None:
             raise LaneError(
                 "sparse lane batching needs scipy and a plan-derived "
                 "sparsity pattern")
@@ -408,7 +408,7 @@ def make_lane_system(system: System, resistances,
     deemed dense-hostile.
     """
     backend = resolve_backend(None, system)
-    if backend.sparse:
+    if backend is not None:
         return SparseLaneSystem(system, resistances, device_name,
                                 backend=backend)
     return LaneSystem(system, resistances, device_name)

@@ -46,7 +46,7 @@ def dense_errstate():
     """The errstate under which :func:`solve_dense_nocheck` may be called.
 
     Entering it once around a solve *loop* amortises the errstate setup
-    that :func:`solve_dense` pays per call.  A no-op context when the
+    that ``np.linalg.solve`` pays per call.  A no-op context when the
     fast entry point is unavailable.
     """
     if _SOLVE1 is None:
@@ -56,10 +56,18 @@ def dense_errstate():
 
 
 def solve_dense_nocheck(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`solve_dense` without the per-call errstate.
+    """``np.linalg.solve`` for a square float ``a`` and 1-D ``b``, minus
+    the wrapper overhead.
 
-    The caller must hold :func:`dense_errstate` (singular matrices would
-    otherwise emit warnings and return NaNs instead of raising).
+    Dispatches straight to the ``solve1`` gufunc that
+    ``np.linalg.solve`` itself uses for a one-dimensional right-hand
+    side, making the result bitwise the same — the public wrapper's
+    array coercion, dtype resolution and errstate setup just cost ~8 us
+    per call, which matters at tens of thousands of Newton iterations
+    per sweep.  The caller must hold :func:`dense_errstate` (singular
+    matrices would otherwise emit warnings and return NaNs instead of
+    raising :class:`SingularMatrixError`).  Falls back to the public API
+    when the internal entry point is missing.
     """
     if _SOLVE1 is not None:
         return _SOLVE1(a, b, signature="dd->d")
@@ -84,29 +92,6 @@ def solve_dense_lanes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if _SOLVE1 is not None:
         return _SOLVE1(a, b, signature="dd->d")
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from None
-
-
-def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` for a square float ``a`` and 1-D ``b``, minus
-    the wrapper overhead.
-
-    Dispatches straight to the ``solve1`` gufunc that
-    ``np.linalg.solve`` itself uses for a one-dimensional right-hand
-    side (with the same errstate hookup, so singular matrices raise),
-    making the result bitwise the same — the public wrapper's array
-    coercion and dtype resolution just cost ~8 us per call, which
-    matters at tens of thousands of Newton iterations per sweep.  Falls
-    back to the public API when the internal entry point is missing.
-    Raises :class:`SingularMatrixError` on a singular matrix.
-    """
-    if _SOLVE1 is not None:
-        with np.errstate(call=_raise_singular, invalid="call",
-                         over="ignore", divide="ignore", under="ignore"):
-            return _SOLVE1(a, b, signature="dd->d")
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -201,9 +186,8 @@ class FactorizationCache:
     factorization serves every step of a uniform grid.  Long adaptive
     runs (bisection floors, breakpoint-split grids) can visit many step
     sizes, so the cache is LRU-bounded: at ``max_entries`` the least
-    recently used entry is evicted (previously the cache cleared
-    wholesale, throwing away every hot factorization).  ``hits`` /
-    ``misses`` / ``evictions`` feed the solver-kernel counters in
+    recently used entry is evicted.  ``hits`` / ``misses`` /
+    ``evictions`` feed the solver-kernel counters in
     :mod:`repro.diagnostics`.
 
     ``factor`` lets a solver backend substitute its own factorization

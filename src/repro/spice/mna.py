@@ -14,9 +14,12 @@ each layer is recomputed only when needed:
 Each layer is compiled at construction into a vectorized *stamp plan*
 (:mod:`repro.spice.plans`) when its devices allow it; a plan-assembled
 layer is bitwise-identical to the per-device path but runs as a handful
-of array operations instead of a Python loop over devices.  Layers with
-devices the compiler does not understand transparently fall back to the
-classic ``stamp_*`` walk.
+of array operations instead of a Python loop over devices.  A layer
+with devices the compiler does not understand falls back to the classic
+``stamp_*`` walk, and ``use_plans=False`` walks every layer (the
+per-device assembly reference of the tests).  Transient analysis runs
+on the compiled step layer only: it needs the capacitors and sources
+compiled (:attr:`System._step_plannable`).
 
 On top of the plans the system keeps two hot-loop caches:
 
@@ -46,9 +49,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.spice.devices import VoltageSource
+from repro.spice.errors import SpiceError
 from repro.spice.linalg import (FactorizationCache, LUFactorization,
                                 lu_factor)
-from repro.spice.netlist import AnalysisContext, Circuit, Device, Stamper
+from repro.spice.netlist import (GROUND_ALIASES, AnalysisContext, Circuit,
+                                 Device, Stamper)
 from repro.spice.plans import compile_plans
 
 #: Default node-to-ground regularisation conductance (siemens).
@@ -207,6 +212,25 @@ class System:
     def has_nonlinear(self) -> bool:
         return bool(self._nonlinear)
 
+    def initial_state(self, initial: dict[str, float] | None
+                      ) -> np.ndarray:
+        """The unknown vector of an analysis start: ``initial``
+        (``{node name: volts}``) at its nodes, zeros elsewhere.
+
+        Ground aliases are skipped; a name the circuit does not have
+        raises :class:`~repro.spice.errors.SpiceError`.
+        """
+        x = np.zeros(self.size)
+        circuit = self.circuit
+        for name, volts in (initial or {}).items():
+            if name in GROUND_ALIASES:
+                continue
+            if not circuit.has_node(name):
+                raise SpiceError(f"initial condition for unknown node "
+                                 f"{name!r}")
+            x[circuit.node(name).index] = float(volts)
+        return x
+
     # ------------------------------------------------------------------
     # pinned unknowns
     # ------------------------------------------------------------------
@@ -350,13 +374,13 @@ class System:
                            backend=None) -> LUFactorization:
         """Cached factorization of the step base matrix (linear fast path).
 
-        With a sparse ``backend`` the cache holds its factorizations
-        under backend-qualified keys, so dense and sparse entries for
+        With the sparse ``backend`` the cache holds its factorizations
+        under ``(dt, method, "sparse")``, so dense and sparse entries for
         the same ``(dt, method)`` coexist without collisions.
         """
         cache = self._fact_cache
-        if backend is not None and backend.sparse:
-            key = (dt, method, backend.name)
+        if backend is not None:
+            key = (dt, method, "sparse")
             factor = backend.factorize
         else:
             key = (dt, method)
@@ -493,14 +517,9 @@ class System:
 
     def accept_step(self, x_prev: np.ndarray, x_now: np.ndarray, dt: float,
                     method: str) -> None:
-        """Propagate integrator history (trapezoidal capacitors)."""
-        if self.plans is not None and self.plans.dynamic is not None:
-            self.plans.dynamic.accept_step(x_prev, x_now, dt, method)
-            return
-        for dev in self._dynamic:
-            accept = getattr(dev, "accept_step", None)
-            if accept is not None:
-                accept(x_prev, x_now, dt, method)
+        """Propagate integrator history (trapezoidal capacitors) through
+        the compiled dynamic plan."""
+        self.plans.dynamic.accept_step(x_prev, x_now, dt, method)
 
     def source_waveforms(self):
         """All waveforms attached to independent sources (for breakpoints)."""

@@ -54,6 +54,9 @@ class Node:
 #: The global reference node.  Shared across circuits (it carries no state).
 GROUND = Node("0", _GROUND_INDEX)
 
+#: Node names that all refer to :data:`GROUND`.
+GROUND_ALIASES = ("0", "gnd", "GND", "ground")
+
 
 class Device:
     """Base class for all circuit elements."""
@@ -113,9 +116,10 @@ class Circuit:
     def node(self, name: str) -> Node:
         """Return the node called ``name``, creating it if necessary.
 
-        The names ``"0"``, ``"gnd"`` and ``"GND"`` all refer to ground.
+        The names ``"0"``, ``"gnd"``, ``"GND"`` and ``"ground"`` all
+        refer to ground (:data:`GROUND_ALIASES`).
         """
-        if name in ("0", "gnd", "GND", "ground"):
+        if name in GROUND_ALIASES:
             return GROUND
         found = self._nodes.get(name)
         if found is None:
@@ -174,7 +178,7 @@ class Circuit:
         return len(self._nodes)
 
     def has_node(self, name: str) -> bool:
-        return name in self._nodes or name in ("0", "gnd", "GND", "ground")
+        return name in self._nodes or name in GROUND_ALIASES
 
     # ------------------------------------------------------------------
     # finalisation (assign MNA branch indices)

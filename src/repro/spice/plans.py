@@ -13,7 +13,7 @@ default engine configuration must keep golden outputs byte-identical),
 and the plans are built for it:
 
 * scatters preserve the per-device stamp order, so floating-point
-  accumulation happens in exactly the legacy sequence;
+  accumulation happens in exactly the per-device sequence;
 * entries that the ``Stamper`` would drop (ground terminals) are
   redirected to a scrap slot past the end of the flattened system
   instead of changing the slot structure;
@@ -568,8 +568,8 @@ class NonlinearPlan:
         # The target buffer is one contiguous scratch laid out as
         # [A (size^2) | scrapA | b (size) | scrapB], so the matrix and
         # rhs updates land in a single np.add.at (A entries first, then
-        # b entries — the exact legacy accumulation order, into disjoint
-        # regions).
+        # b entries — the per-device walk's accumulation order, into
+        # disjoint regions).
         b_off = size * size + 1
         self._b_off = b_off
         self._b_idx_off = self._b_idx + b_off
@@ -743,7 +743,7 @@ class NonlinearPlan:
         Every expression mirrors the per-device model code
         (:func:`~repro.spice.mosfet.mosfet_curves`, :meth:`Diode.iv`)
         operation for operation, so the scattered values are bitwise
-        those of the vectorized kernel and of the legacy stamp walk.
+        those of the vectorized kernel and of the per-device stamp walk.
         NMOS and PMOS devices run in separate loops with the polarity
         folded in: the model's ``p *`` is the identity for NMOS and a
         unary negation for PMOS, both exact.  The loops stage only the

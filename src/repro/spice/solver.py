@@ -80,17 +80,19 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
                  backend=None) -> np.ndarray:
     """Solve the (possibly nonlinear) system for one analysis point.
 
-    ``A_step``/``b_step`` are the per-step base from
-    :meth:`System.build_step`; nonlinear devices are linearised around the
-    running iterate each pass.  Updates are damped so no node voltage moves
-    more than ``vstep_max`` per iteration, which keeps the exponential
-    devices (diodes, sub-threshold MOSFETs) from overflowing.
+    ``A_step``/``b_step`` are the per-step base
+    (:meth:`System.step_matrix` and :meth:`System.step_rhs` in a
+    transient, :meth:`System.build_step` at DC); nonlinear devices are
+    linearised around the running iterate each pass.  Updates are damped
+    so no node voltage moves more than ``vstep_max`` per iteration,
+    which keeps the exponential devices (diodes, sub-threshold MOSFETs)
+    from overflowing.
 
     ``linear_fact`` — a cached :class:`LUFactorization` of ``A_step``;
     used for the linear fast path so one factorization serves every step
     sharing the same base matrix.
 
-    ``fast_solve`` — the kernel transient loop's mode.  Dense solves go
+    ``fast_solve`` — the transient step loop's mode.  Dense solves go
     through :func:`~repro.spice.linalg.solve_dense_nocheck`
     (bitwise-identical to ``np.linalg.solve``, minus its wrapper
     overhead), so the caller must hold
@@ -99,15 +101,14 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     instead of raising.  A converged Newton solve also leaves the
     pinned sources' branch rows out: only a transient's final state
     exposes them, and the loop recovers its last step's
-    (:meth:`~repro.spice.mna.System.recover_branches`).  The legacy
-    loop keeps the plain ``np.linalg.solve`` call.
+    (:meth:`~repro.spice.mna.System.recover_branches`).  Other callers
+    (DC, the rescue ladders) go through the plain ``np.linalg.solve``.
 
-    ``backend`` — a resolved :class:`~repro.spice.backends.SolverBackend`
-    to route linear solves through, or ``None`` for the pre-backend
-    dense path.  A dense backend resolution passes ``None`` here so the
-    dense branches below stay the reference (the bitwise-parity
-    guarantee); only a sparse backend changes the solve kernel, with
-    the documented fp tolerance.
+    ``backend`` — what :func:`~repro.spice.backends.resolve_backend`
+    returned: the system's :class:`~repro.spice.backends.SparseBackend`
+    to route linear solves through, or ``None`` for the dense solves
+    below.  The sparse backend changes the solve kernel, with the
+    documented fp tolerance.
 
     Every dense solve runs on the kept unknowns only (see
     :mod:`repro.spice.mna`): each iteration assembles the kept blocks
@@ -121,7 +122,7 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     :class:`SingularMatrixError` on failure.
     """
     n = system.num_nodes
-    sparse = backend is not None and backend.sparse
+    sparse = backend is not None
     if not system.has_nonlinear and extra_gmin == 0.0:
         if linear_fact is not None:
             return linear_fact.solve_fast(b_step)

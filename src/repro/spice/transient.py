@@ -15,18 +15,14 @@ voltages (default 0 V) and integration starts immediately — no DC operating
 point is computed first.  The DRAM runner exploits this to chain operation
 cycles, feeding each cycle's final state into the next.
 
-Two step loops implement the same strategy:
-
-* the **kernel fast path** (default) — compiled stamp plans, a per-``dt``
-  step-matrix cache, a cursor walk of the grid with a bounded bisection
-  stack, preallocated result buffers, and (for linear circuits) cached LU
-  factorizations.  For circuits built from the standard device classes it
-  is bitwise-identical to the legacy loop, except that linear circuits
-  are solved through the factorization cache (same result to machine
-  precision).
-* the **legacy per-device loop** (``use_kernels=False``) — the original
-  reference implementation, kept as the parity baseline for tests and
-  benchmarks.
+One step loop implements that strategy: compiled stamp plans, a
+per-``dt`` step-matrix cache, a cursor walk of the grid with a bounded
+bisection stack, preallocated result buffers, and (for linear circuits)
+cached LU factorizations.  It needs the circuit's capacitors and sources
+compiled into plans; every built-in device compiles, and a circuit with
+a custom capacitor-like or source device raises :class:`SpiceError`.
+``tests/golden/spice_transients.json`` pins its trajectories
+(DESIGN.md section 5c).
 """
 
 from __future__ import annotations
@@ -43,28 +39,6 @@ from repro.spice.mna import DEFAULT_GMIN, System
 from repro.spice.netlist import AnalysisContext, Circuit
 from repro.spice.solver import gmin_step_solve, newton_solve
 from repro.spice.waveforms import merge_breakpoints
-
-#: Process-wide default for the kernel fast path (see set_kernels_default).
-_KERNELS_DEFAULT = True
-
-
-def set_kernels_default(enabled: bool) -> bool:
-    """Flip the process-wide default for the transient kernel fast path.
-
-    Returns the previous value.  Benchmarks use this to measure the
-    legacy per-device loop without threading a flag through every layer;
-    it is also the escape hatch if a custom device class interacts badly
-    with the compiled plans.
-    """
-    global _KERNELS_DEFAULT
-    previous = _KERNELS_DEFAULT
-    _KERNELS_DEFAULT = bool(enabled)
-    return previous
-
-
-def kernels_enabled() -> bool:
-    """Current process-wide default for the kernel fast path."""
-    return _KERNELS_DEFAULT
 
 
 #: Process-wide default lane width for batched sweeps (0 = lanes off).
@@ -183,7 +157,6 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
               initial: dict[str, float] | None = None,
               gmin: float = DEFAULT_GMIN,
               max_step_halvings: int = 14,
-              use_kernels: bool | None = None,
               system: System | None = None,
               backend: str | None = None) -> TransientResult:
     """Run a transient analysis from 0 to ``tstop``.
@@ -208,88 +181,60 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
     max_step_halvings:
         How many times a non-converging step may be bisected before the
         analysis gives up.
-    use_kernels:
-        ``True``/``False`` selects the kernel fast path or the legacy
-        per-device loop; ``None`` (default) follows the process-wide
-        default (:func:`set_kernels_default`).
     system:
         A prebuilt :class:`System` for ``circuit`` to reuse across calls
         (the DRAM runner chains cycles over one system, keeping its
         step-matrix and factorization caches warm).  Ignored when it does
-        not match ``circuit``/``gmin`` or when the legacy loop is chosen.
-        Callers that mutate device *values* in place must drop their
-        cached system (the compiled plans would go stale).
+        not match ``circuit``/``gmin``.  Callers that mutate device
+        *values* in place must drop their cached system (the compiled
+        plans would go stale).
     backend:
         Linear-solver backend name (``"auto"``, ``"dense"`` or
         ``"sparse"``; see :mod:`repro.spice.backends`); ``None``
         (default) follows the process-wide default
-        (:func:`repro.spice.backends.set_backend_default`).  A dense
-        resolution keeps the bitwise-identical dense path; the sparse
-        backend only engages on the kernel fast path (the legacy loop is
-        the dense parity baseline).
+        (:func:`repro.spice.backends.set_backend_default`).
+
+    Raises :class:`SpiceError` for a bad argument, an initial condition
+    on an unknown node, or a circuit whose capacitors or sources the
+    step plans cannot compile.
     """
     if tstop <= 0 or dt <= 0:
         raise SpiceError("tstop and dt must be positive")
     if method not in ("be", "trap"):
         raise SpiceError(f"unknown integration method {method!r}")
-    if use_kernels is None:
-        use_kernels = _KERNELS_DEFAULT
+    if (system is None or system.circuit is not circuit
+            or system.gmin != gmin or system.plans is None
+            or not circuit._finalized):
+        system = System(circuit, gmin=gmin)
+    if not system._step_plannable:
+        raise SpiceError(
+            f"transient analysis of {circuit.title!r} needs compiled "
+            f"capacitor and source plans; a device of a custom class "
+            f"stamps the step layer")
 
-    if use_kernels:
-        if (system is None or system.circuit is not circuit
-                or system.gmin != gmin or system.plans is None
-                or not circuit._finalized):
-            system = System(circuit, gmin=gmin, use_plans=True)
-    else:
-        system = System(circuit, gmin=gmin, use_plans=False)
-
-    node_names = circuit.node_names
-    num_nodes = circuit.num_nodes
-
-    x = np.zeros(system.size)
-    if initial:
-        for name, volts in initial.items():
-            if name in ("0", "gnd", "GND", "ground"):
-                continue
-            if not circuit.has_node(name):
-                raise SpiceError(f"initial condition for unknown node "
-                                 f"{name!r}")
-            x[circuit.node(name).index] = float(volts)
-
+    x = system.initial_state(initial)
     grid = _build_grid(tstop, dt, system.source_waveforms())
     dt_floor = dt / (2 ** max_step_halvings)
-
-    fast = (use_kernels and system._step_plannable)
-    if fast:
-        # Resolve the solver backend for this system.  Dense resolutions
-        # hand the loop ``None`` so every pre-backend dense branch runs
-        # untouched (the bitwise-parity guarantee); only a sparse
-        # resolution threads a backend object into the solves.
-        resolved = resolve_backend(backend, system)
-        backend_obj = resolved if resolved.sparse else None
     # A stalled transient's counters count too: its caller may drop the
     # system before another transient would flush them.
     try:
-        if fast:
-            return _run_kernel_loop(system, circuit, grid, x, dt_floor,
-                                    temp_c, method, node_names, num_nodes,
-                                    backend_obj)
-        return _run_legacy_loop(system, grid, x, dt_floor, temp_c,
-                                method, node_names, num_nodes)
+        return _run_kernel_loop(system, grid, x, dt_floor, temp_c, method,
+                                circuit.node_names, circuit.num_nodes,
+                                resolve_backend(backend, system))
     finally:
         system.flush_kernel_counters()
 
 
-def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
-                     x: np.ndarray, dt_floor: float, temp_c: float,
-                     method: str, node_names: list[str], num_nodes: int,
+def _run_kernel_loop(system: System, grid: list[float], x: np.ndarray,
+                     dt_floor: float, temp_c: float, method: str,
+                     node_names: list[str], num_nodes: int,
                      backend=None) -> TransientResult:
-    """Kernel fast path: cursor grid walk + bounded bisection stack.
+    """The step loop: cursor grid walk + bounded bisection stack.
 
-    The bisection stack replaces the legacy ``pending.insert(0)/pop(0)``
-    list queue (O(n) per operation on the full grid): the grid is walked
-    with an index cursor and only bisection midpoints are pushed onto a
-    stack whose depth is bounded by ``max_step_halvings``.
+    The grid is walked with an index cursor and only bisection midpoints
+    are pushed onto a stack whose depth is bounded by
+    ``max_step_halvings``.  ``backend`` is the system's sparse backend,
+    or ``None`` for the dense solves.
     """
     n_grid = len(grid)
     capacity = n_grid + 8
@@ -324,7 +269,7 @@ def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
 def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
                       num_nodes, linear, timers, times, data, capacity,
                       count, rescues, backend=None):
-    """The kernel step loop proper (see :func:`_run_kernel_loop`)."""
+    """The step loop proper (see :func:`_run_kernel_loop`)."""
     n_grid = len(grid)
     t = 0.0
     gi = 1
@@ -355,10 +300,9 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
                                  linear_fact=fact, fast_solve=True,
                                  backend=backend)
         except ConvergenceError as exc:
-            # Step bisection first (identical to the plain path, so runs
-            # that never needed a rescue are bit-identical), then — once
-            # the step floor blocks further bisection — a per-step Gmin
-            # ramp as the last resort before giving up.
+            # Step bisection first, then — once the step floor blocks
+            # further bisection — a per-step Gmin ramp as the last
+            # resort before giving up.
             if dt_step / 2 >= dt_floor:
                 stack.append(t + dt_step / 2)
                 continue
@@ -400,53 +344,6 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
         # out; only the final state exposes them.
         system.recover_branches(x)
     return TransientResult(times[:count].copy(), data[:count].copy(),
-                           node_names, x, rescues=rescues)
-
-
-def _run_legacy_loop(system: System, grid: list[float], x: np.ndarray,
-                     dt_floor: float, temp_c: float, method: str,
-                     node_names: list[str], num_nodes: int
-                     ) -> TransientResult:
-    """The original per-device step loop (parity baseline)."""
-    times = [0.0]
-    rows = [x[:num_nodes].copy()]
-    rescues: list[RescueEvent] = []
-
-    t = 0.0
-    pending = list(grid[1:])
-    while pending:
-        t_target = pending[0]
-        dt_step = t_target - t
-        ctx = AnalysisContext(time=t_target, dt=dt_step, temp_c=temp_c,
-                              x=x, x_prev=x, method=method)
-        A_step, b_step = system.build_step(ctx)
-        try:
-            x_new = newton_solve(system, A_step, b_step, ctx, x)
-        except ConvergenceError as exc:
-            if dt_step / 2 >= dt_floor:
-                pending.insert(0, t + dt_step / 2)
-                continue
-            try:
-                x_new = gmin_step_solve(system, A_step, b_step, ctx, x)
-            except ConvergenceError as gmin_exc:
-                nodes = gmin_exc.nodes or exc.nodes
-                raise ConvergenceError(
-                    f"transient stalled at t={t:.4g}s: step below floor "
-                    f"{dt_floor:.3g}s still fails to converge even with "
-                    f"a Gmin ramp (moving nodes: "
-                    f"{', '.join(nodes) or '-'})",
-                    time=t, iterations=gmin_exc.iterations, nodes=nodes,
-                    rescue_trail=("bisect", "gmin")) from None
-            rescues.append(RescueEvent(t_target, "gmin"))
-            _record_rescue("gmin")
-        system.accept_step(x, x_new, dt_step, method)
-        x = x_new
-        t = t_target
-        pending.pop(0)
-        times.append(t)
-        rows.append(x[:num_nodes].copy())
-
-    return TransientResult(np.asarray(times), np.asarray(rows),
                            node_names, x, rescues=rescues)
 
 

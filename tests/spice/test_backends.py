@@ -1,4 +1,4 @@
-"""Solver backends: registry, auto policy, sparse parity, degradation."""
+"""Solver backends: resolution, auto policy, sparse parity, degradation."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 import repro.spice.backends as backends
 from repro.spice.backends import (
     BackendError,
-    DENSE,
-    DenseBackend,
     SPARSE_AUTO_MIN_SIZE,
     SparseBackend,
     SparsityPattern,
-    available_backends,
     backend_default,
     resolve_backend,
     scipy_available,
@@ -25,6 +22,7 @@ from repro.spice.devices import (
     VoltageSource,
 )
 from repro.spice.errors import SingularMatrixError
+from repro.spice.linalg import dense_errstate, solve_dense_nocheck
 from repro.spice.mna import System
 from repro.spice.netlist import Circuit
 from repro.spice.transient import transient
@@ -58,13 +56,23 @@ def _restore_backend_default():
     set_backend_default(prev)
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"dense", "sparse"}
+class TestResolution:
+    """``resolve_backend`` returns ``None`` (the dense kernels) or the
+    system's one :class:`SparseBackend`."""
 
-    def test_dense_resolution_is_shared_instance(self):
+    def test_dense_and_small_auto_resolve_to_none(self):
         system = System(_ladder_circuit(3))
-        assert resolve_backend("dense", system) is DENSE
+        assert resolve_backend("dense", system) is None
+        assert resolve_backend("auto", system) is None
+
+    @needs_scipy
+    def test_sparse_resolves_to_the_cached_backend(self):
+        system = System(_ladder_circuit(3))
+        backend = resolve_backend("sparse", system)
+        assert isinstance(backend, SparseBackend)
+        assert backend.system is system
+        assert resolve_backend("sparse", system) is backend
+        assert SparseBackend.from_system(system) is backend
 
     def test_unknown_backend_raises(self):
         system = System(_ladder_circuit(3))
@@ -72,6 +80,7 @@ class TestRegistry:
             resolve_backend("fft", system)
         with pytest.raises(BackendError):
             set_backend_default("fft")
+        assert backend_default() == "auto"
 
     def test_default_roundtrip(self):
         assert backend_default() == "auto"
@@ -79,40 +88,31 @@ class TestRegistry:
         assert prev == "auto"
         assert backend_default() == "dense"
         system = System(_ladder_circuit(3))
-        assert resolve_backend(None, system) is DENSE
-
-    def test_custom_backend_factory(self):
-        sentinel = DenseBackend()
-        backends.register_backend("custom-test", lambda system: sentinel)
-        try:
-            system = System(_ladder_circuit(3))
-            assert resolve_backend("custom-test", system) is sentinel
-        finally:
-            backends._REGISTRY.pop("custom-test")
+        assert resolve_backend(None, system) is None
 
 
 class TestAutoPolicy:
     def test_small_system_stays_dense(self):
         system = System(_ladder_circuit(5))
-        assert not resolve_backend("auto", system).sparse
+        assert resolve_backend("auto", system) is None
 
     @needs_scipy
     def test_threshold_boundary(self, monkeypatch):
         system = System(_ladder_circuit(20))
         monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE",
                             system.size + 1)
-        assert not resolve_backend("auto", system).sparse
+        assert resolve_backend("auto", system) is None
         monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", system.size)
-        assert resolve_backend("auto", system).sparse
+        assert resolve_backend("auto", system) is not None
 
     @needs_scipy
     def test_dense_pattern_rejected_on_auto(self, monkeypatch):
         system = System(_ladder_circuit(20))
         monkeypatch.setattr(backends, "SPARSE_AUTO_MIN_SIZE", 1)
         monkeypatch.setattr(backends, "SPARSE_AUTO_MAX_DENSITY", 0.0)
-        assert not resolve_backend("auto", system).sparse
+        assert resolve_backend("auto", system) is None
         # Forcing sparse skips the density gate.
-        assert resolve_backend("sparse", system).sparse
+        assert resolve_backend("sparse", system) is not None
 
     @needs_scipy
     def test_array_crosses_threshold(self):
@@ -120,7 +120,7 @@ class TestAutoPolicy:
         arr = build_array(8, 8)
         system = System(arr.circuit)
         assert system.size >= SPARSE_AUTO_MIN_SIZE
-        assert resolve_backend("auto", system).sparse
+        assert resolve_backend("auto", system) is not None
 
 
 class TestDegradation:
@@ -128,15 +128,14 @@ class TestDegradation:
         monkeypatch.setattr(backends, "_SCIPY", False)
         assert not scipy_available()
         system = System(_ladder_circuit(20))
-        resolved = resolve_backend("sparse", system)
-        assert not resolved.sparse
+        assert resolve_backend("sparse", system) is None
         assert system.kernel_counters.get("backend_sparse_degraded") == 1
-        assert not resolve_backend("auto", system).sparse
+        assert resolve_backend("auto", system) is None
 
     @needs_scipy
     def test_no_plans_falls_back_dense(self):
         system = System(_ladder_circuit(20), use_plans=False)
-        assert not resolve_backend("sparse", system).sparse
+        assert resolve_backend("sparse", system) is None
 
     @needs_scipy
     def test_transient_runs_under_forced_sparse_small_circuit(self):
@@ -148,13 +147,6 @@ class TestDegradation:
         for i in range(6):
             assert res.final(f"n{i}") == pytest.approx(
                 ref.final(f"n{i}"), abs=1e-9)
-
-    @needs_scipy
-    def test_backend_cached_per_system(self):
-        system = System(_ladder_circuit(20))
-        b1 = resolve_backend("sparse", system)
-        b2 = resolve_backend("sparse", system)
-        assert b1 is b2
 
 
 class TestSparsityPattern:
@@ -214,7 +206,8 @@ class TestSparseSolves:
         assert fact.solve_fast(b) == pytest.approx(fact.solve(b))
 
     def test_singular_raises_same_error_shape(self):
-        """Both backends raise SingularMatrixError on a singular system."""
+        """The dense and sparse solves raise SingularMatrixError on a
+        singular system."""
         c = Circuit("floating")
         gnd = c.node("0")
         a = c.node("a")
@@ -226,8 +219,8 @@ class TestSparseSolves:
         A = system._A_static.copy()
         rhs = np.zeros(system.size)
         backend = SparseBackend.from_system(system)
-        with pytest.raises(SingularMatrixError):
-            DENSE.solve(A, rhs)
+        with pytest.raises(SingularMatrixError), dense_errstate():
+            solve_dense_nocheck(A, rhs)
         with pytest.raises(SingularMatrixError):
             backend.solve(A, rhs)
 

@@ -42,7 +42,6 @@ from repro.spice import (Capacitor, Circuit, Constant, Mosfet, NMOS_DEFAULT,
                          PMOS_DEFAULT, PWL, Resistor, VoltageSource,
                          transient)
 from repro.spice.errors import ConvergenceError
-from repro.spice.transient import set_kernels_default
 
 GOLDEN = (Path(__file__).resolve().parents[1] / "golden"
           / "spice_transients.json")
@@ -50,9 +49,6 @@ GOLDEN = (Path(__file__).resolve().parents[1] / "golden"
 #: Every voltage and ``final_x`` entry of a replay within this of the
 #: golden value (DESIGN.md 5c's dense tolerance).
 TOL = 1e-11
-
-#: Compared exactly: time grids, sensed bits, labels.
-EXACT_KEYS = ("time", "sensed", "ops")
 
 CYCLE_OPS = "w0 w1 r1"
 
@@ -127,14 +123,13 @@ def record_cycles(seq) -> dict:
                        for r in seq.results]}
 
 
+_INVERTER_IC = {"o": 2.4, "vdd": 2.4}
+
+
 def _inverter_bisection() -> dict:
     with injected_failures():
-        res = transient(inverter(), 4e-9, 1e-9,
-                        initial={"o": 2.4, "vdd": 2.4})
+        res = transient(inverter(), 4e-9, 1e-9, initial=_INVERTER_IC)
     return _transient(res)
-
-
-_INVERTER_IC = {"o": 2.4, "vdd": 2.4}
 
 #: Case name -> a callable that runs it and returns its golden record.
 CASES = {
@@ -151,7 +146,7 @@ CASES = {
 def mismatches(got, want, path: str = "$") -> list[str]:
     """Where a replay ``got`` departs from the golden record ``want``.
 
-    Keys, lengths and the :data:`EXACT_KEYS` entries must be equal;
+    Keys, lengths, time grids, sensed bits and labels must be equal;
     every other number may move by at most :data:`TOL`.  Returns one
     line per departure (empty when the replay holds).
     """
@@ -165,14 +160,14 @@ def mismatches(got, want, path: str = "$") -> list[str]:
             return [f"{path}: {len(got)} entries != {len(want)}"]
         return [m for i, (g, w) in enumerate(zip(got, want))
                 for m in mismatches(g, w, f"{path}[{i}]")]
-    if path.rsplit(".", 1)[-1] in EXACT_KEYS or \
-            not isinstance(want, (float, list)):
+    if not isinstance(want, (float, list)):
         return [] if got == want else [f"{path}: {got!r} != {want!r}"]
     g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     if g.shape != w.shape:
         return [f"{path}: length {g.shape} != {w.shape}"]
     err = float(np.max(np.abs(g - w), initial=0.0))
-    return [] if err <= TOL else [f"{path}: off by {err:.3g} > {TOL:g}"]
+    tol = 0.0 if path.endswith(".time") else TOL
+    return [] if err <= tol else [f"{path}: off by {err:.3g} > {tol:g}"]
 
 
 def generate() -> dict:
@@ -183,13 +178,6 @@ def generate() -> dict:
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
-
-
-@pytest.fixture(params=[True, False], ids=["kernel-loop", "legacy-loop"])
-def loop(request):
-    previous = set_kernels_default(request.param)
-    yield
-    set_kernels_default(previous)
 
 
 def test_golden_holds_every_case(golden):
@@ -216,7 +204,7 @@ def test_comparator_flags_departures(golden):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_replay_matches_golden(golden, loop, name):
+def test_replay_matches_golden(golden, name):
     assert mismatches(CASES[name](), golden["cases"][name]) == []
 
 

@@ -308,12 +308,10 @@ class TestBranchCurrents:
     ATOL = 1e-11
 
     @pytest.mark.parametrize("leak", [False, True])
-    @pytest.mark.parametrize("use_kernels", [True, False])
     @pytest.mark.parametrize("tstop", [0.5e-9, 2e-9, 5e-9, 12e-9])
-    def test_source_currents_equal_their_series_resistors(
-            self, tstop, use_kernels, leak):
+    def test_source_currents_equal_their_series_resistors(self, tstop, leak):
         c = _sourced_rc(leak)
-        res = transient(c, tstop, 0.05e-9, use_kernels=use_kernels)
+        res = transient(c, tstop, 0.05e-9)
         x = res.final_x
         n = c.num_nodes
         v1 = 2.0 if tstop >= 1e-9 else 2.0 * tstop / 1e-9

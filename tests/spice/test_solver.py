@@ -9,11 +9,13 @@ from repro.spice import (
     Diode,
     Resistor,
     SingularMatrixError,
+    SpiceError,
     VoltageSource,
     dc_operating_point,
+    transient,
 )
 from repro.spice.mna import System
-from repro.spice.netlist import AnalysisContext
+from repro.spice.netlist import GROUND_ALIASES, AnalysisContext
 from repro.spice.solver import newton_solve
 
 
@@ -100,6 +102,17 @@ class TestDCOperatingPoint:
         c = _linear_circuit()
         op = dc_operating_point(c)
         assert set(op) == {"in", "out"}
+
+    def test_unknown_initial_node_raises_like_transient(self):
+        with pytest.raises(SpiceError, match="unknown node 'ot'"):
+            dc_operating_point(_linear_circuit(), initial={"ot": 0.5})
+        with pytest.raises(SpiceError, match="unknown node 'ot'"):
+            transient(_linear_circuit(), 1e-9, 1e-10, initial={"ot": 0.5})
+
+    @pytest.mark.parametrize("ground", GROUND_ALIASES)
+    def test_ground_initial_ignored(self, ground):
+        op = dc_operating_point(_linear_circuit(), initial={ground: 5.0})
+        assert op["out"] == pytest.approx(0.5)
 
     def test_temperature_passed_to_devices(self):
         c = Circuit()

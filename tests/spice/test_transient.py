@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.spice import (
+    GROUND,
     Capacitor,
     Circuit,
     Constant,
@@ -22,6 +23,7 @@ from repro.spice import (
     transient,
 )
 from repro.spice.errors import ConvergenceError
+from repro.spice.netlist import Device
 
 # The package re-exports the transient() function under the same name as
 # its module; resolve the module itself for monkeypatching.
@@ -147,6 +149,24 @@ class TestValidation:
         res = transient(_rc(), 1e-7, 1e-8, initial={"gnd": 5.0})
         assert res.final("out") >= 0.0
 
+    def test_rejects_a_step_layer_the_plans_cannot_compile(self):
+        """The one step loop runs on compiled capacitor and source plans;
+        a capacitor-like device of a custom class has none."""
+
+        class Companion(Device):
+            def __init__(self, name, a, cap):
+                super().__init__(name, (a, GROUND))
+                self.cap = cap
+
+            def stamp_dynamic(self, st):
+                if st.ctx.dt is not None:
+                    st.conductance(*self.node_list, self.cap / st.ctx.dt)
+
+        c = _rc()
+        c.add(Companion("CX", c.node("out"), 1e-12))
+        with pytest.raises(SpiceError, match="compiled capacitor and source"):
+            transient(c, 1e-7, 1e-8)
+
 
 class TestNonlinearTransient:
     def test_inverter_switches(self):
@@ -199,80 +219,20 @@ def _inverter():
     return c
 
 
-def _compare(res_a, res_b, *, bitwise):
-    assert len(res_a) == len(res_b)
-    if bitwise:
-        assert np.array_equal(res_a.time, res_b.time)
-        assert np.array_equal(res_a.final_x, res_b.final_x)
-    else:
-        assert res_a.time == pytest.approx(res_b.time, rel=1e-12)
-        assert res_a.final_x == pytest.approx(res_b.final_x, rel=1e-9,
-                                              abs=1e-12)
+def _assert_identical(res_a, res_b):
+    assert np.array_equal(res_a.time, res_b.time)
+    assert np.array_equal(res_a.final_x, res_b.final_x)
     for name in res_a.node_names:
-        if bitwise:
-            assert np.array_equal(res_a.v(name), res_b.v(name)), name
-        else:
-            assert res_a.v(name) == pytest.approx(res_b.v(name),
-                                                  rel=1e-9, abs=1e-12)
+        assert np.array_equal(res_a.v(name), res_b.v(name)), name
 
 
-class TestKernelParity:
-    """Kernel fast path vs the legacy per-device loop."""
+class TestSystemReuse:
+    """A prebuilt system reused across transients equals a fresh one.
 
-    def test_nonlinear_transient_is_bitwise_identical(self):
-        kw = dict(tstop=12e-9, dt=0.1e-9,
-                  initial={"o": 2.4, "vdd": 2.4})
-        fast = transient(_inverter(), use_kernels=True, **kw)
-        legacy = transient(_inverter(), use_kernels=False, **kw)
-        _compare(fast, legacy, bitwise=True)
-
-    def test_trap_method_is_bitwise_identical(self):
-        kw = dict(tstop=6e-9, dt=0.1e-9, method="trap",
-                  initial={"o": 2.4, "vdd": 2.4})
-        fast = transient(_inverter(), use_kernels=True, **kw)
-        legacy = transient(_inverter(), use_kernels=False, **kw)
-        _compare(fast, legacy, bitwise=True)
-
-    def test_linear_transient_matches_to_machine_precision(self):
-        # Linear circuits route through the cached LU inverse on the
-        # kernel path — same result to machine precision, not bitwise.
-        kw = dict(tstop=2e-6, dt=1e-8)
-        fast = transient(_rc(), use_kernels=True, **kw)
-        legacy = transient(_rc(), use_kernels=False, **kw)
-        _compare(fast, legacy, bitwise=False)
-
-    def test_bisection_walk_is_bitwise_identical(self, monkeypatch):
-        """Regression for the O(n^2) step queue replacement.
-
-        The cursor + bisection-stack walk must visit exactly the time
-        points the legacy ``pending.insert(0)/pop(0)`` queue visited.
-        Injected failures force two levels of bisection over a window,
-        identically for both loops, so any walk-order divergence shows
-        up as a result mismatch.
-        """
-        real = transient_module.newton_solve
-
-        def flaky(system, A_step, b_step, ctx, x0, **kw):
-            if ctx.dt >= 0.26e-9 and 0.9e-9 <= ctx.time <= 2.1e-9:
-                raise ConvergenceError("injected", iterations=1)
-            return real(system, A_step, b_step, ctx, x0, **kw)
-
-        monkeypatch.setattr(transient_module, "newton_solve", flaky)
-        kw = dict(tstop=4e-9, dt=1e-9, initial={"o": 2.4, "vdd": 2.4})
-        fast = transient(_inverter(), use_kernels=True, **kw)
-        legacy = transient(_inverter(), use_kernels=False, **kw)
-        assert len(fast) > 6  # bisection actually added time points
-        _compare(fast, legacy, bitwise=True)
-
-    def test_kernel_default_toggle_roundtrip(self):
-        from repro.spice.transient import (kernels_enabled,
-                                           set_kernels_default)
-        prev = set_kernels_default(False)
-        try:
-            assert kernels_enabled() is False
-        finally:
-            set_kernels_default(prev)
-        assert kernels_enabled() is prev
+    The trajectories themselves are pinned by
+    ``tests/golden/spice_transients.json``
+    (``tests/spice/test_golden_transients.py``).
+    """
 
     def test_prebuilt_system_is_reused(self):
         from repro.spice.mna import System
@@ -283,7 +243,7 @@ class TestKernelParity:
                        initial={"o": 2.4, "vdd": 2.4})
         r2 = transient(c, 3e-9, 0.1e-9, system=system,
                        initial={"o": 2.4, "vdd": 2.4})
-        _compare(r1, r2, bitwise=True)
+        _assert_identical(r1, r2)
 
     def test_reprogrammed_waveforms_reach_the_next_transient(self):
         """Each transient resolves the source waveforms afresh: after a
@@ -303,7 +263,7 @@ class TestKernelParity:
             c["VDD"].waveform = vdd
             c["VIN"].waveform = vin
             reused = transient(c, system=system, **kw)
-            _compare(reused, transient(c, **kw), bitwise=True)
+            _assert_identical(reused, transient(c, **kw))
             results.append(reused)
         assert results[0].final("o") != results[1].final("o")
 
