@@ -4,17 +4,16 @@ Measures the workload the sparse backend exists for — a transient of a
 parameterized R×C DRAM cell array (:func:`repro.dram.array.build_array`)
 through one precharge-then-activate cycle — with the dense backend
 forced and with the sparse backend forced, and writes the numbers to
-``reports/sparse.txt`` (repo root, the acceptance artifact) and
-``reports/sparse.txt`` plus a machine-readable
-``BENCH_sparse.json`` twin (same schema family as ``BENCH_solver.json``
-and ``BENCH_lanes.json``).
+``reports/sparse.txt`` (repo root, the acceptance artifact) plus a
+machine-readable ``BENCH_sparse.json`` twin (same schema family as
+``BENCH_solver.json`` and ``BENCH_lanes.json``).
 
-Both backends run the same kernel transient loop — plan assembly,
+Both backends run the same transient step loop — plan assembly,
 step-matrix cache, Newton damping — so the speedup isolates the linear
 solve kernel.  Parity between the two is checked against the documented
 sparse fp tolerance (the backends factor in different elimination
-orders, so bitwise equality is not expected — the *dense* bitwise
-guarantee is covered by ``bench_solver.py`` and the golden tests).
+orders, so bitwise equality is not expected — the dense path's own
+trajectories are pinned by ``tests/golden/spice_transients.json``).
 
 Degrades gracefully without scipy: the sparse lane then reports the
 dense fallback and ``--check`` fails with a clear message (CI installs
