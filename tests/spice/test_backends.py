@@ -148,6 +148,13 @@ class TestDegradation:
             assert res.final(f"n{i}") == pytest.approx(
                 ref.final(f"n{i}"), abs=1e-9)
 
+    @needs_scipy
+    def test_backend_cached_per_system(self):
+        system = System(_ladder_circuit(20))
+        b1 = resolve_backend("sparse", system)
+        b2 = resolve_backend("sparse", system)
+        assert b1 is b2
+
 
 class TestSparsityPattern:
     def test_scrap_slots_excluded(self):

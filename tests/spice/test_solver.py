@@ -55,6 +55,17 @@ class TestSystem:
         sys = System(c)
         assert len(sys.source_waveforms()) == 1
 
+    def test_initial_state_places_volts_at_their_nodes(self):
+        """DC and transient start from this vector: the given volts at
+        their nodes, zeros on every other node and branch unknown."""
+        c = _linear_circuit()
+        sys = System(c)
+        expected = np.zeros(sys.size)
+        expected[c.node("out").index] = 0.4
+        assert np.array_equal(sys.initial_state({"out": 0.4, "gnd": 5.0}),
+                              expected)
+        assert np.array_equal(sys.initial_state(None), np.zeros(sys.size))
+
 
 class TestNewton:
     def test_diode_resistor_converges(self):
