@@ -8,10 +8,10 @@ cycle accounting for both passes and lands in ``reports/engine.txt``
 (repo root) plus a
 machine-readable ``BENCH_engine.json`` twin (same schema family as
 ``BENCH_solver.json``/``BENCH_sparse.json``); the check pins the
-acceptance criterion that a warm repeat simulates at least 50% fewer
-cycles (in practice: none at all).
+acceptance criterion that a warm repeat simulates nothing: every
+request of the second pass is recalled from the cache.
 
-Run standalone (CI runs ``--check``)::
+Run standalone (``--check`` exits non-zero when the gate fails)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--check]
 """
@@ -70,8 +70,7 @@ def run_benchmark() -> dict:
             "warm_cycles_saved": warm.cycles_saved,
             "warm_hit_rate": warm.hit_rate,
             "ok": (cold.cycles_simulated > 0
-                   and warm.cycles_simulated
-                   <= 0.5 * cold.cycles_simulated
+                   and warm.cycles_simulated == 0
                    and warm.cycles_saved >= 0.5 * cold.cycles_simulated),
         })
     return {
@@ -95,7 +94,7 @@ def render(res: dict) -> str:
                      f"{w['warm_cycles_simulated']} cycles simulated, "
                      f"{w['warm_cycles_saved']} saved "
                      f"({w['warm_hit_rate']:.0%} hit rate)")
-    lines.append(f"\nwarm-pass cycle savings >= 50%: "
+    lines.append(f"\nwarm pass simulates nothing: "
                  f"{'ok' if res['ok'] else 'MISSED'}")
     return "\n".join(lines)
 
@@ -108,7 +107,7 @@ def main(argv=None) -> int:
     emit("engine", render(res), res)
 
     if args.check and not res["ok"]:
-        return fail("warm cache must halve the simulated cycles")
+        return fail("a warm cache must simulate nothing")
     return 0
 
 

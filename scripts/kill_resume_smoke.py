@@ -8,14 +8,18 @@ Runs ``python -m repro table1`` three ways:
    progress (a mid-sweep crash, not a startup failure);
 3. resumed with ``--resume`` on the same checkpoint.
 
-Exits 0 iff the interrupted run actually died to the signal and the
-resumed stdout is byte-identical to the reference.  The checkpoint
-directory (journal, store, any quarantine) is left in ``--workdir`` so
-CI can upload it as an artifact on failure.
+Exits 0 iff the interrupted run actually died to the signal, the
+resumed run recovered from the store at least the journal records
+counted before the kill with none missing (request keys are stable
+across processes: a drifting hash would silently re-simulate
+everything), and the resumed stdout is byte-identical to the reference.
+The checkpoint directory (journal, store, any quarantine) is left in
+``--workdir`` so CI can upload it as an artifact on failure.
 """
 
 import argparse
 import difflib
+import re
 import signal
 import subprocess
 import sys
@@ -68,6 +72,17 @@ def main() -> int:
     for line in resumed.stderr.splitlines():
         if "journal" in line or "store" in line:
             print(f"      {line.strip()}", flush=True)
+    match = re.search(r"journal: (\d+) results recovered, \d+ holes "
+                      r"replayed, (\d+) missing from store",
+                      resumed.stderr)
+    recovered, missing = (int(match[1]), int(match[2])) if match \
+        else (0, 0)
+    if recovered < interrupted.journal_records or missing:
+        print(f"FAIL: resume recovered {recovered} results ({missing} "
+              f"missing from store); the kill left "
+              f"{interrupted.journal_records} journal records",
+              file=sys.stderr)
+        return 1
 
     if resumed.stdout != reference.stdout:
         sys.stderr.writelines(difflib.unified_diff(
@@ -77,7 +92,8 @@ def main() -> int:
         print("FAIL: resumed stdout differs from reference",
               file=sys.stderr)
         return 1
-    print("OK: resumed stdout is byte-identical to the reference")
+    print(f"OK: resume recovered {recovered} results; stdout is "
+          "byte-identical to the reference")
     return 0
 
 

@@ -42,6 +42,7 @@ from repro.core.stresses import (
 from repro.defects.catalog import ALL_DEFECTS, Defect, DefectKind, Placement
 from repro.engine import BatchExecutor, FailedResult, ResultCache, \
     default_engine, parallel_map, set_default_engine
+from repro.store import ShardedStore
 
 #: Default ST axes optimized, in the paper's Table-1 column order.
 DEFAULT_ST_KINDS = (StressKind.VDD, StressKind.TCYC, StressKind.DUTY,
@@ -276,13 +277,18 @@ def _optimize_task(args) -> tuple[OptimizationRow | FailedResult, object]:
     """Worker body of the per-defect fan-out (module-level: picklable).
 
     Each worker gets a fresh serial default engine — the parent may be
-    running a pool already, and nested pools would oversubscribe.  The
-    per-worker engine stats are returned so the parent can merge them.
+    running a pool already, and nested pools would oversubscribe.  When
+    the parent's engine has a durable store, the worker's cache is backed
+    by a store on the same root: the worker appends its results to its
+    own segment and reads every other process's, so a checkpointed run
+    keeps them and a resumed one recalls them.  The per-worker engine
+    stats are returned so the parent can merge them.
     """
     defect, model_factory, base_stress, st_kinds, br_rel_tol, \
-        on_error = args
+        on_error, store_root = args
     previous = default_engine()
-    engine = BatchExecutor(cache=ResultCache(), workers=1)
+    store = ShardedStore(store_root) if store_root is not None else None
+    engine = BatchExecutor(cache=ResultCache(store=store), workers=1)
     set_default_engine(engine)
     try:
         row = optimize_defect(defect, model_factory=model_factory,
@@ -294,6 +300,8 @@ def _optimize_task(args) -> tuple[OptimizationRow | FailedResult, object]:
         return _defect_failure(defect, exc), engine.stats
     finally:
         set_default_engine(previous)
+        if store is not None:
+            store.close()
     return row, engine.stats
 
 
@@ -311,6 +319,8 @@ def optimize_all_defects(*, model_factory=None,
     must then be picklable — a module-level function or
     ``functools.partial``; closures fall back to the serial loop).  Row
     order, and therefore the rendered table, is identical either way.
+    Workers share the default engine's durable store, if it has one, but
+    not its journal.
 
     ``on_error="isolate"`` contains failures at two levels: probe
     failures degrade the affected border search, and a defect whose
@@ -334,8 +344,11 @@ def optimize_all_defects(*, model_factory=None,
                     d if isinstance(d, Defect) else Defect(d), exc))
         _record_failures(failures)
         return OptimizationTable(rows, failures=failures)
+    cache = default_engine().cache
+    store_root = (str(cache.store.root)
+                  if cache is not None and cache.store is not None else None)
     tasks = [(d, model_factory, base_stress, st_kinds, br_rel_tol,
-              on_error)
+              on_error, store_root)
              for d in defects]
     outcomes = parallel_map(_optimize_task, tasks, workers=workers)
     stats = default_engine().stats

@@ -64,15 +64,7 @@ class DefectKind(enum.Enum):
     @property
     def site_kind(self) -> str:
         """The netlist-builder kind string."""
-        return {
-            DefectKind.O1: "open_bl",
-            DefectKind.O2: "open_gate",
-            DefectKind.O3: "open_sn",
-            DefectKind.SG: "short_gnd",
-            DefectKind.SV: "short_vdd",
-            DefectKind.B1: "bridge_bl",
-            DefectKind.B2: "bridge_wl",
-        }[self]
+        return _SITE_KINDS[self]
 
     @property
     def fails_high(self) -> bool:
@@ -103,6 +95,17 @@ class DefectKind(enum.Enum):
             DefectKind.B1: "bridge from storage node to own bit line",
             DefectKind.B2: "bridge from storage node to own word line",
         }[self]
+
+
+_SITE_KINDS = {
+    DefectKind.O1: "open_bl",
+    DefectKind.O2: "open_gate",
+    DefectKind.O3: "open_sn",
+    DefectKind.SG: "short_gnd",
+    DefectKind.SV: "short_vdd",
+    DefectKind.B1: "bridge_bl",
+    DefectKind.B2: "bridge_wl",
+}
 
 
 @dataclass(frozen=True)

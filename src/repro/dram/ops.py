@@ -108,15 +108,15 @@ def parse_ops(text: str) -> list[Op]:
 
 def format_ops(ops) -> str:
     """Render an operation list compactly (``w1^2 w0 r0``)."""
+    tokens = [str(op) for op in ops]
     out: list[str] = []
     i = 0
-    ops = list(ops)
-    while i < len(ops):
-        j = i
-        while j < len(ops) and str(ops[j]) == str(ops[i]):
+    while i < len(tokens):
+        j = i + 1
+        while j < len(tokens) and tokens[j] == tokens[i]:
             j += 1
         count = j - i
-        out.append(str(ops[i]) if count == 1 else f"{ops[i]}^{count}")
+        out.append(tokens[i] if count == 1 else f"{tokens[i]}^{count}")
         i = j
     return " ".join(out)
 

@@ -55,29 +55,36 @@ def _canonical(value):
     return value
 
 
-#: ``id(tech) -> (tech, _canonical(tech))`` for the few technology objects
-#: a process hashes requests for.  Keyed on identity, not equality: equal
-#: techs can render differently (``0.0 == -0.0``, but their ``repr``s
-#: differ).  Each entry holds its tech, so the id cannot be reused while
-#: the entry lives.
-_TECH_CANONICAL: dict[int, tuple[TechnologyParams, dict]] = {}
+#: ``id(obj) -> (obj, canonical JSON of obj)`` for the techs and stresses
+#: a process hashes requests with: a sweep reuses a handful of each, and
+#: rendering a tech costs more than the rest of a request key.  Both are
+#: frozen, so an object's rendering never changes.  Keyed on identity,
+#: not equality: equal values can render differently
+#: (``0.0 == -0.0``, but their ``repr``s differ).  Each entry holds its
+#: object, so the id cannot be reused while the entry lives; past
+#: :data:`_CANONICAL_JSON_MAX` entries the oldest is dropped.
+_CANONICAL_JSON: dict[int, tuple[object, str]] = {}
+_CANONICAL_JSON_MAX = 256
 
 
-def _canonical_tech(tech: TechnologyParams) -> dict:
-    """:func:`_canonical` of ``tech``, computed once per tech object."""
-    hit = _TECH_CANONICAL.get(id(tech))
+#: The payload encoding: ``json.dumps`` with sorted keys and no
+#: whitespace, its encoder built once instead of per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _canonical_json(obj) -> str:
+    """``_dumps(_canonical(obj))``, computed once per object."""
+    hit = _CANONICAL_JSON.get(id(obj))
     if hit is None:
-        if len(_TECH_CANONICAL) >= 8:
-            _TECH_CANONICAL.clear()
-        hit = _TECH_CANONICAL[id(tech)] = (tech, _canonical(tech))
+        if len(_CANONICAL_JSON) >= _CANONICAL_JSON_MAX:
+            del _CANONICAL_JSON[next(iter(_CANONICAL_JSON))]
+        hit = _CANONICAL_JSON[id(obj)] = (obj, _dumps(_canonical(obj)))
     return hit[1]
 
 
 def tech_fingerprint(tech: TechnologyParams) -> str:
     """Deterministic short hash of a full technology parameter set."""
-    payload = json.dumps(_canonical_tech(tech), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return hashlib.sha256(_canonical_json(tech).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -164,8 +171,7 @@ class SequenceRequest:
         (:func:`repro.dram.trim.trim_default`).  Column requests always
         carry ``trim="off"`` so their hashes stay unchanged.
         """
-        if isinstance(ops, str):
-            ops = parse_ops(ops)
+        ops = parse_ops(ops) if isinstance(ops, str) else list(ops)
         if isinstance(defect, Defect):
             site = defect.site()
         else:
@@ -183,7 +189,7 @@ class SequenceRequest:
                 raise ValueError("trim requires geometry (the seed 2x2 "
                                  "column is never trimmed)")
             trim = "off"
-        return cls(
+        request = cls(
             backend=backend,
             tech=tech or default_tech(),
             defect_kind=site.kind if site is not None else None,
@@ -197,43 +203,55 @@ class SequenceRequest:
             address=address,
             trim=trim,
         )
+        # Counted here, from the ops already in hand, so no cache hit
+        # re-parses the ops string.
+        request.__dict__["cycles"] = len(ops)
+        return request
 
-    @property
+    @cached_property
     def cycles(self) -> int:
         """Number of operation cycles this request simulates."""
         return len(parse_ops(self.ops))
 
     @cached_property
     def content_hash(self) -> str:
-        """Deterministic hex digest addressing this simulation."""
-        payload = {
+        """Deterministic hex digest addressing this simulation.
+
+        The payload is the sorted-key JSON of the request's fields.  The
+        tech and the stress, by far its largest values, are rendered
+        once per object (:func:`_canonical_json`) and spliced in at
+        their sorted place: after every other column and array key,
+        before ``"tier"`` and ``"trim"``.  The bytes are those of
+        ``_dumps`` over the whole payload.
+        """
+        head = {
             "schema": SCHEMA_VERSION,
             "backend": self.backend,
-            "tech": _canonical_tech(self.tech),
             "defect_kind": self.defect_kind,
             "cell": self.cell,
-            "resistance": _canonical(self.resistance)
-            if self.resistance is not None else None,
-            "stress": _canonical(self.stress),
+            "resistance": _canonical(self.resistance),
             "ops": self.ops,
             "init_vc": repr(self.init_vc),
             "background": self.background,
         }
+        tail = {}
         # Array fields only enter the payload when used, so every column
         # request keeps the hash it had before arrays existed (cache and
         # verified-store entries stay addressable).
         if self.geometry is not None or self.trim != "off":
-            payload["geometry"] = (list(self.geometry)
-                                   if self.geometry is not None else None)
-            payload["address"] = (list(self.address)
-                                  if self.address is not None else None)
-            payload["trim"] = self.trim
+            head["geometry"] = (list(self.geometry)
+                                if self.geometry is not None else None)
+            head["address"] = (list(self.address)
+                               if self.address is not None else None)
+            tail["trim"] = self.trim
         # The tier axis likewise only enters for non-simulation entries,
         # so every pre-existing hash is preserved.
         if self.tier != "sim":
-            payload["tier"] = self.tier
-        payload = json.dumps(payload, sort_keys=True,
-                             separators=(",", ":"))
+            tail["tier"] = self.tier
+        payload = (_dumps(head)[:-1]
+                   + ',"stress":' + _canonical_json(self.stress)
+                   + ',"tech":' + _canonical_json(self.tech)
+                   + ("," + _dumps(tail)[1:] if tail else "}"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def site(self) -> DefectSite | None:

@@ -270,3 +270,32 @@ class TestCheckpointLayout:
         ckpt = SweepCheckpoint(tmp_path / "ck")
         cache = ckpt.cache()
         assert cache.store is ckpt.store
+
+
+class TestWorkerCheckpoint:
+    def test_worker_results_land_in_the_store_and_resume(self, tmp_path):
+        """A pooled Table 1 on a checkpoint keeps its workers' results:
+        the resumed run recalls every sequence from the store."""
+        from repro.engine import set_default_engine
+        from repro.experiments import table1_optimization
+        defects = (Defect(DefectKind.O3), Defect(DefectKind.SG))
+
+        def run(resume):
+            ckpt = SweepCheckpoint(tmp_path / "ck", resume=resume)
+            engine = BatchExecutor(cache=ckpt.cache(), journal=ckpt.journal)
+            set_default_engine(engine)
+            try:
+                table = table1_optimization(defects=defects, workers=2,
+                                            engine=True)
+            finally:
+                ckpt.close()
+            return table.render(), engine.stats
+
+        table, cold = run(resume=False)
+        assert cold.misses > 0
+        assert list((tmp_path / "ck" / "store" / "segments").glob("*.seg"))
+        again, warm = run(resume=True)
+        assert again == table
+        assert warm.misses == 0 and warm.cycles_simulated == 0
+        assert warm.disk_hits > 0
+        assert warm.hits == cold.hits + cold.misses
