@@ -109,6 +109,38 @@ class TestBoundaryLoads:
         assert not getattr(build_array(4, 4).circuit, "trimmed", False)
 
 
+def _signature(device) -> tuple:
+    """A device's type, name, nodes (name and index) and values."""
+    values = []
+    for key, value in vars(device).items():
+        if key == "node_list":
+            value = tuple((n.name, n.index) for n in value)
+        elif key == "waveform":
+            value = (type(value).__name__, vars(value))
+        values.append((key, value))
+    return (type(device).__name__, values)
+
+
+class TestSharedBuilder:
+    @pytest.mark.parametrize("kind", DEFECT_KINDS)
+    def test_window_pruning_nothing_builds_the_full_array(self, kind):
+        """On a 2×2 array the defect halo keeps every row and column, so
+        the trimmed builder must build the full array device for device;
+        only the circuit title and the ``trimmed`` flag differ."""
+        for cell in range(4):
+            defect = DefectSite(kind, cell, 1e5)
+            full = build_array(2, 2, defect=defect)
+            trim = build_trimmed_array(2, 2, defect=defect)
+            assert trim.plan.cells_pruned == 0
+            assert [_signature(d) for d in trim.circuit.devices] \
+                == [_signature(d) for d in full.circuit.devices]
+            assert trim.circuit.node_names == full.circuit.node_names
+            assert trim.storage_nodes == full.storage_nodes
+            assert trim.control_sources == full.control_sources
+            assert trim.circuit.title == full.circuit.title + "_trim"
+            assert trim.boundary_caps == trim.boundary_leaks == 0
+
+
 class TestTrimmedNetlistSurface:
     def test_pruned_access_raises(self):
         arr = build_trimmed_array(6, 6, defect=DefectSite("open_sn", 14, 1e5))
