@@ -11,7 +11,8 @@ machine-readable ``BENCH_engine.json`` twin (same schema family as
 acceptance criterion that a warm repeat simulates nothing: every
 request of the second pass is recalled from the cache.
 
-Run standalone (``--check`` exits non-zero when the gate fails)::
+Run standalone (``--check`` exits non-zero when the gate fails; CI's
+``test`` job runs it)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--check]
 """

@@ -71,9 +71,9 @@ class TestSweepParity:
 
 
 class TestCacheWins:
-    def test_warm_cache_halves_simulated_cycles(self):
-        """Acceptance: a repeated plane study on a warm cache simulates
-        at least 50% fewer cycles (here: all of them are recalled)."""
+    def test_warm_cache_simulates_nothing(self):
+        """Acceptance: a repeated plane study on a warm cache recalls
+        every request and simulates no cycle."""
         engine = BatchExecutor(cache=ResultCache())
         fig2_result_planes(backend="behavioral", points=5, engine=engine)
         cold = engine.stats.snapshot()
@@ -81,5 +81,7 @@ class TestCacheWins:
 
         fig2_result_planes(backend="behavioral", points=5, engine=engine)
         warm = engine.stats.delta_since(cold)
-        assert warm.cycles_simulated <= 0.5 * cold.cycles_simulated
-        assert warm.cycles_saved >= 0.5 * cold.cycles_simulated
+        assert warm.cycles_simulated == 0
+        assert warm.misses == 0
+        assert warm.hits > 0
+        assert warm.cycles_saved >= cold.cycles_simulated
