@@ -301,7 +301,7 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
     active = np.arange(n_batch)
     x_act = x0.copy()
     A_act, b_act = A_step, b_step
-    M_act = M_cache[active]
+    M_act = M_cache[lane_idx]
     dv_prev = np.full(n_batch, np.inf)
     vtol = vtol * LANE_VTOL_FACTOR
     gidx = lane_idx[active]

@@ -19,8 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 import repro.spice.lanes as lanes_mod
 from repro.dram import ColumnRunner
-from repro.dram.column import DefectSite
+from repro.dram.column import DEFECT_DEVICE, DefectSite
+from repro.dram.ops import Op
 from repro.dram.runner import LaneRunner
+from repro.spice.lanes import LaneSystem
+from repro.spice.linalg import dense_errstate
+from repro.spice.mna import System
+from repro.spice.solver import (DEFAULT_VTOL, LANE_VTOL_FACTOR,
+                                newton_solve_lanes)
 
 #: The documented lane-vs-per-lane tolerance (DESIGN.md section 5d).
 LANE_TOL = 1e-5
@@ -144,6 +150,40 @@ class TestLaneIsolation:
             assert np.allclose(lane_seq.vc_after, legacy_seq.vc_after,
                                atol=LANE_TOL, rtol=0.0)
             assert lane_seq.outputs == legacy_seq.outputs
+
+
+class TestFactorCache:
+    def test_subset_solve_reads_each_lanes_own_factors(self):
+        """Regression: a solve over a subset of the lanes seeds each
+        row's chord factors from its own lane's cache entry.  Lane 0's
+        cached factor is zeroed, still flagged valid, before lanes 1 and
+        2 solve; read by batch row, lane 1 got the zeros, whose update
+        is 0, and came back unmoved from its start, flagged converged."""
+        runner = ColumnRunner(defect=DefectSite("open_sn", 0, 1.0))
+        runner.netlist.set_waveforms(runner.stimulus(Op.parse("w1"))[0])
+        system = System(runner.netlist.circuit)
+        lanes = LaneSystem(system, (1e4, 3e5, 1e7), DEFECT_DEVICE)
+        dt = runner.stress.tcyc * runner.tech.dt_frac
+        x0 = np.zeros((3, system.size))
+        A = lanes.step_matrix_lanes(dt, "be")
+        b = lanes.step_rhs_lanes(dt, dt, "be", x0)
+        temp_c = runner.stress.temp_c
+        sub = np.array([1, 2])
+        with dense_errstate():
+            _, failed = newton_solve_lanes(lanes, A, b, x0, np.arange(3),
+                                           temp_c=temp_c)
+            assert not failed.any()
+            lanes._M_valid[:] = False
+            fresh, failed = newton_solve_lanes(
+                lanes, A[sub], b[sub], x0[sub], sub, temp_c=temp_c)
+            assert not failed.any()
+            lanes._M[0] = 0.0
+            lanes._M_valid[0] = True
+            x, failed = newton_solve_lanes(
+                lanes, A[sub], b[sub], x0[sub], sub, temp_c=temp_c)
+        assert not failed.any()
+        # Both solves stop on a chord update under the lane loop's vtol.
+        assert np.abs(x - fresh).max() <= LANE_VTOL_FACTOR * DEFAULT_VTOL
 
 
 class TestLaneRunnerSurface:
