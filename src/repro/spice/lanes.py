@@ -3,11 +3,16 @@
 Every sweep in the paper (result planes, ``Vsa``/settle curves, BR
 identification) re-solves one column topology where only the defect
 resistor's value changes.  This module stacks N such systems — one
-*lane* per ``Rop`` value — into 3-D stamp/solution arrays built from the
+*lane* per ``Rop`` value — into stamp/solution arrays built from the
 compiled plans of :mod:`repro.spice.plans` and advances all of them with
-a single masked Newton loop per timestep
+one masked chord-Newton loop per timestep
 (:func:`~repro.spice.solver.newton_solve_lanes`), so the per-step cost
 is one batched LAPACK call instead of N sequential solves.
+
+:class:`LaneSystem` stores dense matrices and a Jacobian inverse per
+lane; :class:`SparseLaneSystem` keeps only what differs: CSR data rows
+over one shared pattern, a SuperLU factorization per lane, and the
+loop's four format steps.
 
 Policy:
 
@@ -37,12 +42,17 @@ import numpy as np
 
 from repro.diagnostics import diagnostics
 from repro.spice.backends import SparseBackend, resolve_backend
-from repro.spice.errors import SpiceError
+from repro.spice.errors import SingularMatrixError, SpiceError
 from repro.spice.linalg import dense_errstate
 from repro.spice.mna import STEP_CACHE_MAX, System
-from repro.spice.solver import (DEFAULT_VSTEP_MAX, newton_solve_lanes,
-                                newton_solve_lanes_sparse)
+from repro.spice.solver import (DEFAULT_VSTEP_MAX, _try_solve_lanes,
+                                newton_solve_lanes)
 from repro.spice.transient import TransientResult, _build_grid
+
+#: The sparse lanes' former loop, now another name for the one lane
+#: loop; kept because the end-to-end benchmark's trace binds it
+#: (``benchmarks/e2e/trace.py``).
+newton_solve_lanes_sparse = newton_solve_lanes
 
 
 class LaneError(SpiceError):
@@ -69,8 +79,7 @@ class LaneSystem:
     can share its :class:`System` with the serial path.
     """
 
-    #: Dense lane systems batch through :func:`~repro.spice.solver
-    #: .newton_solve_lanes`; :class:`SparseLaneSystem` flips this.
+    #: Dense storage; :class:`SparseLaneSystem` flips this.
     sparse = False
 
     def __init__(self, system: System, resistances,
@@ -123,25 +132,25 @@ class LaneSystem:
         self.resistances = tuple(rs)
         plans = self.system.plans
         s0, s1 = self._span
-        size = self.size
-        statics = np.empty((len(rs), size, size))
         vals = plans.static.vals.copy()
         gmin = self.system.gmin
         gmin_idx = self.system._gmin_idx
-        for k, r in enumerate(rs):
+        statics = []
+        for r in rs:
             vals[s0:s1] = self._signs * (1.0 / r)
-            A = plans.static.assemble_with_vals(size, vals)
+            A = plans.static.assemble_with_vals(self.size, vals)
             if gmin > 0:
                 A[gmin_idx, gmin_idx] += gmin
-            statics[k] = A
-        self._statics = statics
+            statics.append(self._pack(A))
+        self._statics = np.stack(statics)
         self._step_cache: dict = {}
         dyn = plans.dynamic
         self._i_prev2 = (dyn.initial_history_lanes(len(rs))
                          if dyn is not None else None)
-        # Per-lane cached Jacobian inverses for the quasi-Newton loop
-        # (see solver.newton_solve_lanes); all stale until first use.
-        self._M = np.zeros((len(rs), size, size))
+        # Per-lane factors of the quasi-Newton loop (see
+        # solver.newton_solve_lanes), indexed by lane; all stale until
+        # first use.
+        self._M = self._empty_factors(len(rs))
         self._M_valid = np.zeros(len(rs), dtype=bool)
 
     # ------------------------------------------------------------------
@@ -151,8 +160,9 @@ class LaneSystem:
         """Per-lane step base matrices, cached per ``(dt, method)``.
 
         The companion-conductance delta is lane-independent, so it is
-        stamped once into a zero matrix and broadcast-added onto the
-        per-lane statics.  Callers must treat the result as read-only.
+        stamped once into a zero matrix, packed like the statics, and
+        broadcast-added onto them.  Callers must treat the result as
+        read-only.
         """
         key = (dt, method)
         A = self._step_cache.get(key)
@@ -161,7 +171,7 @@ class LaneSystem:
             if dt is not None and dyn is not None:
                 delta = np.zeros((self.size, self.size))
                 dyn.stamp_matrix(delta, dt, method)
-                A = self._statics + delta
+                A = self._statics + self._pack(delta)
             else:
                 A = self._statics.copy()
             if len(self._step_cache) >= STEP_CACHE_MAX:
@@ -241,6 +251,55 @@ class LaneSystem:
             self._i_prev2 = dyn.accept_step_lanes(
                 x_prev2, x_now2, dt, method, self._i_prev2)
 
+    # ------------------------------------------------------------------
+    # storage format: packing, the factor store and the four steps of
+    # the lane loop (solver.newton_solve_lanes) that depend on it
+    # ------------------------------------------------------------------
+    def _pack(self, A: np.ndarray) -> np.ndarray:
+        """One lane's ``(size, size)`` matrix as stored: as it is."""
+        return A
+
+    def _empty_factors(self, n_lanes: int) -> np.ndarray:
+        """The factor store: one Jacobian inverse per lane."""
+        return np.zeros((n_lanes, self.size, self.size))
+
+    def solve_lanes(self, A: np.ndarray, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact solves of linear lane systems: ``(x, ok)``."""
+        return _try_solve_lanes(A, b)
+
+    def refactor_lanes(self, A_step: np.ndarray, b_step: np.ndarray,
+                       x2: np.ndarray, temp_c: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian inverses of the given rows, linearised at ``x2``.
+
+        Returns ``(M, ok)``: one batched ``np.linalg.inv``, or on a
+        singular batch per-lane inverses with a singular lane's left
+        zero and its ``ok`` flag cleared.  The caller must hold
+        :func:`~repro.spice.linalg.dense_errstate`.
+        """
+        A, _ = self.build_iteration_lanes(A_step, b_step, x2, temp_c)
+        ok = np.ones(A.shape[0], dtype=bool)
+        try:
+            return np.linalg.inv(A), ok
+        except (np.linalg.LinAlgError, SingularMatrixError):
+            pass
+        M = np.zeros_like(A)
+        for k in range(A.shape[0]):
+            try:
+                M[k] = np.linalg.inv(A[k])
+            except (np.linalg.LinAlgError, SingularMatrixError):
+                ok[k] = False
+        return M, ok
+
+    def matvec_lanes(self, A: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Batched ``A x`` of stacked step matrices and iterates."""
+        return np.matmul(A, x2[:, :, None])[:, :, 0]
+
+    def apply_factors(self, M: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The chord updates ``M r`` of stacked inverses and residuals."""
+        return np.matmul(M, r[:, :, None])[:, :, 0]
+
 
 class SparseLaneSystem(LaneSystem):
     """N stacked CSR copies of one compiled :class:`System`.
@@ -255,7 +314,9 @@ class SparseLaneSystem(LaneSystem):
     holds per-lane SuperLU *numeric* factorizations over that single
     shared symbolic pattern (refreshed only on stagnation, exactly like
     the dense path's cached inverses — see
-    :func:`~repro.spice.solver.newton_solve_lanes_sparse`).
+    :func:`~repro.spice.solver.newton_solve_lanes`).  Statics, step
+    matrices and the lane loop are :class:`LaneSystem`'s; this class
+    supplies the storage hooks and the loop's format steps.
 
     ``counters`` accumulates the sparse bookkeeping
     (``lane_symbolic_reuse``: numeric factorizations that reused the
@@ -287,61 +348,19 @@ class SparseLaneSystem(LaneSystem):
         self.counters: dict[str, int] = {}
         super().__init__(system, resistances, device_name)
 
-    def set_resistances(self, resistances) -> None:
-        """Rebuild the per-lane CSR data rows for a new ``Rop`` set."""
-        rs = _validated_resistances(resistances)
-        self.resistances = tuple(rs)
-        plans = self.system.plans
-        s0, s1 = self._span
-        size = self.size
-        pat = self._pattern
-        data = np.empty((len(rs), pat.nnz))
-        vals = plans.static.vals.copy()
-        gmin = self.system.gmin
-        gmin_idx = self.system._gmin_idx
-        for k, r in enumerate(rs):
-            vals[s0:s1] = self._signs * (1.0 / r)
-            A = plans.static.assemble_with_vals(size, vals)
-            if gmin > 0:
-                A[gmin_idx, gmin_idx] += gmin
-            np.take(A.reshape(-1), pat.gather, out=data[k])
-        self._statics = data
-        self._step_cache = {}
-        dyn = plans.dynamic
-        self._i_prev2 = (dyn.initial_history_lanes(len(rs))
-                         if dyn is not None else None)
-        # Per-lane SuperLU factorizations over the shared symbolic
-        # pattern (the sparse analogue of the dense ``_M`` inverses);
-        # all stale until first use.
-        self._M = [None] * len(rs)
-        self._M_valid = np.zeros(len(rs), dtype=bool)
-
-    def step_matrix_lanes(self, dt: float, method: str) -> np.ndarray:
-        """Per-lane step base CSR data rows, cached per ``(dt, method)``.
-
-        The companion-conductance delta is lane-independent and every
-        dynamic scatter target lies inside the pattern, so the delta is
-        stamped dense once, gathered, and broadcast onto the per-lane
-        static data.
-        """
-        key = (dt, method)
-        A = self._step_cache.get(key)
-        if A is None:
-            dyn = self.system.plans.dynamic
-            if dt is not None and dyn is not None:
-                delta = np.zeros((self.size, self.size))
-                dyn.stamp_matrix(delta, dt, method)
-                A = self._statics + delta.reshape(-1)[self._pattern.gather]
-            else:
-                A = self._statics.copy()
-            if len(self._step_cache) >= STEP_CACHE_MAX:
-                self._step_cache.clear()
-            self._step_cache[key] = A
-        return A
-
     # ------------------------------------------------------------------
-    # sparse iteration layer
+    # storage format and sparse iteration layer
     # ------------------------------------------------------------------
+    def _pack(self, A: np.ndarray) -> np.ndarray:
+        """One lane's matrix as CSR data over the shared pattern (every
+        static and dynamic scatter target lies inside it)."""
+        return np.take(A.reshape(-1), self._pattern.gather)
+
+    def _empty_factors(self, n_lanes: int) -> np.ndarray:
+        """The factor store: one SuperLU factorization (or ``None``)
+        per lane."""
+        return np.full(n_lanes, None, dtype=object)
+
     def matvec_lanes(self, data: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Batched CSR matvec: ``(n, nnz)`` data rows times ``(n, size)``
         iterates over the shared pattern."""
@@ -393,6 +412,46 @@ class SparseLaneSystem(LaneSystem):
         self.counters["lane_symbolic_reuse"] = \
             self.counters.get("lane_symbolic_reuse", 0) + 1
         return lu
+
+    def solve_lanes(self, A: np.ndarray, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact solves of linear lane systems, one fresh factorization
+        per lane (no iteration would correct a stale exact solve, and
+        the step data changes with dt); a singular or non-finite lane
+        keeps a zero row and a cleared ``ok`` flag."""
+        x = np.zeros_like(b)
+        ok = np.zeros(b.shape[0], dtype=bool)
+        for k, row in enumerate(A):
+            lu = self.factor_lane(row)
+            if lu is None:
+                continue
+            xk = lu.solve(b[k])
+            if np.all(np.isfinite(xk)):
+                x[k] = xk
+                ok[k] = True
+        return x, ok
+
+    def refactor_lanes(self, A_step: np.ndarray, b_step: np.ndarray,
+                       x2: np.ndarray, temp_c: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """SuperLU factorizations of the given rows' Jacobians,
+        linearised at ``x2``: ``(M, ok)``, ``None`` and a cleared flag
+        for a singular lane."""
+        A, _ = self.build_iteration_sparse(A_step, b_step, x2, temp_c)
+        M = np.empty(A.shape[0], dtype=object)
+        ok = np.ones(A.shape[0], dtype=bool)
+        for k, row in enumerate(A):
+            M[k] = self.factor_lane(row)
+            ok[k] = M[k] is not None
+        return M, ok
+
+    def apply_factors(self, M: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The chord updates ``M r``, one triangular solve per lane
+        (SuperLU has no batched solve)."""
+        dx = np.empty_like(r)
+        for k, lu in enumerate(M):
+            dx[k] = lu.solve(r[k])
+        return dx
 
 
 def make_lane_system(system: System, resistances,
@@ -472,7 +531,7 @@ class LaneWarmBank:
             if fact is None:
                 misses += 1
                 continue
-            lanes._M[k] = fact if lanes.sparse else np.copy(fact)
+            lanes._M[k] = fact
             lanes._M_valid[k] = True
             hits += 1
         return hits, misses
@@ -580,11 +639,6 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
     times = np.asarray(grid)
     num_nodes = lanes.num_nodes
     node_names = system.circuit.node_names
-    # Late-bound dense lookup keeps the module-global seam (tests and
-    # instrumentation monkeypatch ``newton_solve_lanes`` here).
-    solve_lanes = (newton_solve_lanes_sparse
-                   if getattr(lanes, "sparse", False)
-                   else newton_solve_lanes)
 
     x2 = x0.astype(float, copy=True)
     alive = np.ones(n_lanes, dtype=bool)
@@ -629,7 +683,7 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
                 guess = x2 + delta
             else:
                 guess = x2
-            x_new, fail = solve_lanes(
+            x_new, fail = newton_solve_lanes(
                 lanes, A_step[act], b_step[act], guess[act], act,
                 temp_c=temp_c)
             x_cand = x2.copy()
@@ -663,7 +717,7 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
                     sel = bad[got]
                     retry_x0 = retry_x0[got]
                 if sel.size:
-                    x_retry, fail2 = solve_lanes(
+                    x_retry, fail2 = newton_solve_lanes(
                         lanes, A_step[sel], b_step[sel], retry_x0, sel,
                         temp_c=temp_c)
                     rescued = sel[~fail2]
@@ -676,7 +730,7 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
                     # Last rung: damped full Newton from the lane's own
                     # last accepted state, as the serial kernel iterates
                     # (a chord loop can cycle where Newton converges).
-                    x_full, fail3 = solve_lanes(
+                    x_full, fail3 = newton_solve_lanes(
                         lanes, A_step[bad], b_step[bad], x2[bad], bad,
                         temp_c=temp_c, full=True)
                     x_cand[bad[~fail3]] = x_full[~fail3]

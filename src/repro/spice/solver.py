@@ -14,6 +14,12 @@ rescue ladder takes over:
 * :func:`rescue_solve` — the full ladder (plain → gmin → source) with
   the trail of attempted stages reported to the caller and recorded on
   the raised error.
+
+:func:`newton_solve_lanes` is the batched counterpart for stacked lane
+systems (:mod:`repro.spice.lanes`): one masked chord-Newton loop, dense
+and sparse lanes alike, whose four format-dependent steps the lane
+system supplies, with per-lane factors cached by lane and a guard that
+turns a non-finite update into a refactor.
 """
 
 from __future__ import annotations
@@ -223,28 +229,6 @@ def _try_solve_lanes(A: np.ndarray, b: np.ndarray
     return x, ok
 
 
-def _refactor_lanes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched explicit inverses with per-lane singularity isolation.
-
-    Returns ``(M, ok)``; a singular lane gets a zero matrix and a
-    cleared ``ok`` flag.  The caller must hold
-    :func:`~repro.spice.linalg.dense_errstate`.
-    """
-    n_lanes = A.shape[0]
-    ok = np.ones(n_lanes, dtype=bool)
-    try:
-        return np.linalg.inv(A), ok
-    except (np.linalg.LinAlgError, SingularMatrixError):
-        pass
-    M = np.zeros_like(A)
-    for k in range(n_lanes):
-        try:
-            M[k] = np.linalg.inv(A[k])
-        except (np.linalg.LinAlgError, SingularMatrixError):
-            ok[k] = False
-    return M, ok
-
-
 def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
                        x0: np.ndarray, lane_idx: np.ndarray, *,
                        temp_c: float, max_iter: int = 100,
@@ -255,26 +239,39 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Masked batched quasi-Newton over stacked same-topology systems.
 
-    ``lanes`` is a :class:`~repro.spice.lanes.LaneSystem`; ``A_step`` is
-    ``(n_batch, size, size)``, ``b_step`` and ``x0`` are
+    ``lanes`` is a :class:`~repro.spice.lanes.LaneSystem` or its sparse
+    subclass; ``A_step`` holds ``n_batch`` step matrices in its storage
+    format (``(n_batch, size, size)`` dense, ``(n_batch, nnz)`` CSR data
+    rows over the shared sparsity pattern), ``b_step`` and ``x0`` are
     ``(n_batch, size)``, and ``lane_idx`` maps batch rows to global lane
-    positions (it keys the per-lane Jacobian-inverse cache on
-    ``lanes``).
+    positions: it keys the per-lane factor cache ``lanes._M`` (dense
+    Jacobian inverses, or SuperLU numeric factorizations over the one
+    shared symbolic pattern) and its validity flags ``lanes._M_valid``.
 
     The update is the residual form of the per-lane Newton step,
-    ``dx = M (b - A x)``, where ``M`` is each lane's cached Jacobian
-    inverse — a batched modified (chord) Newton.  While the update norm
-    shrinks geometrically (by ``shrink`` per pass) the factorization is
-    reused across iterations *and* time steps, so the LAPACK cost drops
-    out of quiet stretches of the cycle entirely; a stale lane
-    refactors and its next pass is a full Newton step.  Because the
-    fixed point of the residual iteration is the exact solution of the
-    step's nonlinear system, reuse affects only the convergence path,
-    not the solution (within ``vtol`` — part of the lane kernel's
-    documented fp tolerance).  Damping and the ``dv_max < vtol`` test
-    match :func:`newton_solve` per lane.  ``full=True`` refactors every
-    lane on every pass instead: the damped full Newton of the serial
-    kernel, the lane driver's last rung before it isolates a lane.
+    ``dx = M (b - A x)``, where ``M`` is each lane's cached factor — a
+    batched modified (chord) Newton.  While the update norm shrinks
+    geometrically (by ``shrink`` per pass) the factorization is reused
+    across iterations *and* time steps, so the factoring cost drops out
+    of quiet stretches of the cycle entirely; a stale lane refactors
+    and its next pass is a full Newton step.  Because the fixed point
+    of the residual iteration is the exact solution of the step's
+    nonlinear system, reuse affects only the convergence path, not the
+    solution (within ``vtol`` — part of the lane kernel's documented fp
+    tolerance).  Damping and the ``dv_max < vtol`` test match
+    :func:`newton_solve` per lane.  ``full=True`` refactors every lane
+    on every pass instead: the damped full Newton of the serial kernel,
+    the lane driver's last rung before it isolates a lane.
+
+    The loop is one for both storage formats; the lane system supplies
+    the four steps that depend on the format: ``solve_lanes`` (a linear
+    system's exact solves), ``refactor_lanes`` (assemble and factor the
+    stale rows' Jacobians), ``matvec_lanes`` (``A x``) and
+    ``apply_factors`` (``M r``).  SuperLU reports some singular systems
+    by returning non-finite solutions rather than raising, so a lane
+    whose update norm is not finite keeps its iterate and turns stale:
+    the refactor then flags it properly.  That masking runs only on a
+    pass whose norms fail one ``isfinite`` check.
 
     Returns ``(x, failed)``: the stacked solutions and a boolean mask
     over batch rows that did not converge (their rows hold the last
@@ -286,7 +283,7 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
     n = lanes.num_nodes
     failed = np.zeros(n_batch, dtype=bool)
     if not lanes.has_nonlinear:
-        x, ok = _try_solve_lanes(A_step, b_step)
+        x, ok = lanes.solve_lanes(A_step, b_step)
         failed[~ok] = True
         return x, failed
 
@@ -294,7 +291,7 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
     size = lanes.size
     x = x0.copy()
     # The loop maintains trimmed working copies (iterate, step system,
-    # cached inverses, previous update norm) and writes rows back into
+    # cached factors, previous update norm) and writes rows back into
     # ``x`` only when a lane converges, fails, or the budget runs out —
     # the hot path carries no per-iteration fancy indexing beyond the
     # staleness lookup.
@@ -311,9 +308,8 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
         if stale.any():
             # Full Jacobian assembly only for the lanes that refactor;
             # their next update is then an exact Newton step.
-            A_full, _ = lanes.build_iteration_lanes(
+            M_new, ok = lanes.refactor_lanes(
                 A_act[stale], b_act[stale], x_act[stale], temp_c)
-            M_new, ok = _refactor_lanes(A_full)
             M_cache[gidx[stale]] = M_new
             M_valid[gidx[stale]] = ok
             M_act[stale] = M_new
@@ -329,13 +325,19 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
                 if active.size == 0:
                     return x, failed
                 gidx = gidx[keep]
-        r = b_act - np.matmul(A_act, x_act[:, :, None])[:, :, 0]
+        r = b_act - lanes.matvec_lanes(A_act, x_act)
         cur = lanes.residual_currents_lanes(x_act, temp_c)
         if cur is not None:
             r += cur[:, :size]
-        dx = np.matmul(M_act, r[:, :, None])[:, :, 0]
+        dx = lanes.apply_factors(M_act, r)
         dv_max = np.abs(dx[:, :n]).max(axis=1) if n \
             else np.zeros(active.size)
+        if not np.isfinite(dv_max).all():
+            # A non-finite update moves nothing; its infinite norm
+            # scales the (zeroed) step to 0 and marks the lane stale.
+            finite = np.isfinite(dv_max)
+            dx[~finite] = 0.0
+            dv_max = np.where(finite, dv_max, np.inf)
         # Branch-free damping: the scale is exactly 1.0 (a bitwise
         # no-op multiply) whenever dv_max <= vstep_max.
         dx *= (vstep_max / np.maximum(dv_max, vstep_max))[:, None]
@@ -352,126 +354,6 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
             active, A_act, b_act, x_act, M_act, dv_prev = (
                 active[keep], A_act[keep], b_act[keep], x_act[keep],
                 M_act[keep], dv_prev[keep])
-            if active.size == 0:
-                return x, failed
-            gidx = gidx[keep]
-    x[active] = x_act
-    failed[active] = True
-    return x, failed
-
-
-def newton_solve_lanes_sparse(lanes, A_step: np.ndarray,
-                              b_step: np.ndarray, x0: np.ndarray,
-                              lane_idx: np.ndarray, *,
-                              temp_c: float, max_iter: int = 100,
-                              vtol: float = DEFAULT_VTOL,
-                              vstep_max: float = DEFAULT_VSTEP_MAX,
-                              shrink: float = MODIFIED_NEWTON_SHRINK,
-                              full: bool = False
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked batched quasi-Newton over stacked same-pattern CSR systems.
-
-    The sparse twin of :func:`newton_solve_lanes`: ``lanes`` is a
-    :class:`~repro.spice.lanes.SparseLaneSystem`, ``A_step`` holds the
-    ``(n_batch, nnz)`` per-lane CSR data rows over the shared symbolic
-    pattern, and the per-lane quasi-Newton cache stores SuperLU *numeric*
-    factorizations instead of explicit inverses — one symbolic analysis,
-    reused for every lane and every refactorization.  The chord
-    iteration, branch-free damping, converged-lane dropout,
-    stagnation-triggered refactorization, the ``full`` rung and the
-    ``(x, failed)`` contract all mirror the dense kernel; the only
-    structural differences are the batched CSR matvec for the residual
-    and a per-lane ``lu.solve`` for the update (SuperLU has no batched
-    triangular solve).
-
-    SuperLU reports some singular systems by returning non-finite
-    solutions rather than raising, so the stagnation test also treats a
-    non-finite update norm as stale — the refactor then flags the lane
-    properly.
-    """
-    n_batch = x0.shape[0]
-    n = lanes.num_nodes
-    failed = np.zeros(n_batch, dtype=bool)
-    if not lanes.has_nonlinear:
-        # No iteration corrects a stale exact solve, and the step data
-        # changes with dt — factor fresh per call.
-        x = np.zeros_like(b_step)
-        for k in range(n_batch):
-            lu = lanes.factor_lane(A_step[k])
-            if lu is None:
-                failed[k] = True
-                continue
-            xk = lu.solve(b_step[k])
-            if np.all(np.isfinite(xk)):
-                x[k] = xk
-            else:
-                failed[k] = True
-        return x, failed
-
-    M_cache, M_valid = lanes._M, lanes._M_valid
-    size = lanes.size
-    x = x0.copy()
-    active = np.arange(n_batch)
-    x_act = x0.copy()
-    A_act, b_act = A_step, b_step
-    gidx = lane_idx[active]
-    M_act = [M_cache[g] for g in gidx]
-    dv_prev = np.full(n_batch, np.inf)
-    vtol = vtol * LANE_VTOL_FACTOR
-    for _ in range(max_iter):
-        stale = np.ones(active.size, dtype=bool) if full \
-            else ~M_valid[gidx]
-        if stale.any():
-            A_full, _ = lanes.build_iteration_sparse(
-                A_act[stale], b_act[stale], x_act[stale], temp_c)
-            stale_rows = np.flatnonzero(stale)
-            ok = np.ones(stale_rows.size, dtype=bool)
-            for j, row in enumerate(stale_rows):
-                lu = lanes.factor_lane(A_full[j])
-                g = gidx[row]
-                M_cache[g] = lu
-                M_valid[g] = lu is not None
-                M_act[row] = lu
-                ok[j] = lu is not None
-            if not ok.all():
-                bad_rows = stale_rows[~ok]
-                x[active[bad_rows]] = x_act[bad_rows]
-                failed[active[bad_rows]] = True
-                keep = np.ones(active.size, dtype=bool)
-                keep[bad_rows] = False
-                active, A_act, b_act, x_act, dv_prev = (
-                    active[keep], A_act[keep], b_act[keep], x_act[keep],
-                    dv_prev[keep])
-                M_act = [m for m, k in zip(M_act, keep) if k]
-                if active.size == 0:
-                    return x, failed
-                gidx = gidx[keep]
-        r = b_act - lanes.matvec_lanes(A_act, x_act)
-        cur = lanes.residual_currents_lanes(x_act, temp_c)
-        if cur is not None:
-            r += cur[:, :size]
-        dx = np.empty_like(x_act)
-        for j in range(active.size):
-            dx[j] = M_act[j].solve(r[j])
-        dv_max = np.abs(dx[:, :n]).max(axis=1) if n \
-            else np.zeros(active.size)
-        finite = np.isfinite(dv_max)
-        dx[~finite] = 0.0
-        dx *= (vstep_max / np.maximum(
-            np.where(finite, dv_max, vstep_max), vstep_max))[:, None]
-        x_act += dx
-        conv = finite & (dv_max < vtol)
-        slow = ~conv & (~finite | (dv_max >= shrink * dv_prev))
-        if slow.any():
-            M_valid[gidx[slow]] = False
-        dv_prev = np.where(finite, dv_max, np.inf)
-        if conv.any():
-            x[active[conv]] = x_act[conv]
-            keep = ~conv
-            active, A_act, b_act, x_act, dv_prev = (
-                active[keep], A_act[keep], b_act[keep], x_act[keep],
-                dv_prev[keep])
-            M_act = [m for m, k in zip(M_act, keep) if k]
             if active.size == 0:
                 return x, failed
             gidx = gidx[keep]
