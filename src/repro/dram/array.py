@@ -156,9 +156,34 @@ def build_array(rows: int, cols: int,
     line like the folded column does.  Pass a :class:`DefectSite` (cell
     index row-major) to inject one resistive defect.
     """
+    tech = tech or default_tech()
+    circuit, storage_nodes, control_sources = _build_window(
+        rows, cols, tech, defect, range(rows), range(cols),
+        r_wl=r_wl, c_wl=c_wl, r_bl=r_bl, c_bl=c_bl)
+    return ArrayNetlist(circuit=circuit, tech=tech, defect=defect,
+                        rows=rows, cols=cols, storage_nodes=storage_nodes,
+                        control_sources=control_sources)
+
+
+def _build_window(rows: int, cols: int, tech: TechnologyParams,
+                  defect: DefectSite | None, kept_rows, kept_cols, *,
+                  r_wl: float, c_wl: float, r_bl: float,
+                  c_bl: float | None, g_leak: float | None = None
+                  ) -> tuple[Circuit, list[str], list[str]]:
+    """The netlist of the ``kept_rows`` × ``kept_cols`` window of an
+    ``rows``×``cols`` array: ``(circuit, storage_nodes,
+    control_sources)``.
+
+    Kept rows and columns get their full word- and bit-line ladders,
+    kept cells their devices.  A pruned tap on a kept line keeps the
+    load of the cell it lost (:mod:`repro.dram.trim`): a kept word line
+    gets the pruned cell's gate capacitance (``c_trimg*``), a kept bit
+    line a ``g_leak`` conductance to ground per pruned row
+    (``r_trimleak*``; none when ``g_leak`` is ``None``).  With every row
+    and column kept this is the full array.
+    """
     if rows < 1 or cols < 1:
         raise NetlistError("array needs at least one row and one column")
-    tech = tech or default_tech()
     if defect is not None and defect.cell >= rows * cols:
         raise NetlistError(
             f"defect cell {defect.cell} outside the {rows}x{cols} array")
@@ -177,8 +202,9 @@ def build_array(rows: int, cols: int,
                         Constant(tech.vbl_pre(tech.vdd_nom))))
     c.add(VoltageSource("v_eq", eq, gnd, Constant(0.0)))
 
-    # Word lines: driver node + RC ladder with one tap per column.
-    for r in range(rows):
+    # Word lines: driver node + RC ladder with one tap per column; a
+    # pruned cell leaves its gate capacitance (gates draw no current).
+    for r in kept_rows:
         drv = c.node(f"wl{r}d")
         c.add(VoltageSource(f"v_wl{r}", drv, gnd, Constant(0.0)))
         prev = drv
@@ -186,10 +212,14 @@ def build_array(rows: int, cols: int,
             tap = c.node(f"wl{r}_{col}")
             c.add(Resistor(f"r_wl{r}_{col}", prev, tap, r_wl))
             c.add(Capacitor(f"c_wl{r}_{col}", tap, gnd, c_wl))
+            if col not in kept_cols:
+                c.add(Capacitor(f"c_trimg{r}_{col}", tap, gnd,
+                                tech.cg_access))
             prev = tap
 
-    # Bit lines: precharge head + RC ladder with one tap per row.
-    for col in range(cols):
+    # Bit lines: precharge head + RC ladder with one tap per row; a
+    # pruned (always off) cell leaves its aggregated off-state leak.
+    for col in kept_cols:
         head = c.node(f"bl{col}_0")
         c.add(Mosfet(f"m_pre{col}", head, eq, vpre, tech.nmos,
                      w=tech.pre_w, l=tech.pre_l))
@@ -200,12 +230,18 @@ def build_array(rows: int, cols: int,
             c.add(Resistor(f"r_bl{col}_{r}", prev, tap, r_bl))
             c.add(Capacitor(f"c_bl{col}_{r}", tap, gnd, c_bl))
             prev = tap
+        if g_leak is not None:
+            for r in range(rows):
+                if r not in kept_rows:
+                    c.add(Resistor(f"r_trimleak{col}_{r}",
+                                   c.node(f"bl{col}_{r}"), gnd,
+                                   1.0 / g_leak))
 
     # Cells, row-major, with the column builder's defect routing relative
     # to the cell's own line taps.
     storage_nodes: list[str] = []
-    for r in range(rows):
-        for col in range(cols):
+    for r in kept_rows:
+        for col in kept_cols:
             idx = r * cols + col
             sn = c.node(f"sn{r}_{col}")
             wl_tap = c.node(f"wl{r}_{col}")
@@ -256,7 +292,5 @@ def build_array(rows: int, cols: int,
             storage_nodes.append(sn.name)
 
     control_sources = (["v_vdd", "v_pre", "v_eq"]
-                       + [f"v_wl{r}" for r in range(rows)])
-    return ArrayNetlist(circuit=c, tech=tech, defect=defect, rows=rows,
-                        cols=cols, storage_nodes=storage_nodes,
-                        control_sources=control_sources)
+                       + [f"v_wl{r}" for r in kept_rows])
+    return c, storage_nodes, control_sources

@@ -9,7 +9,11 @@ dead weight.  This module trims the netlist to that active window, the
 OpenRAM/OpenNVRAM characterizer move ("trim the netlist to remove
 unnecessary logic"), while replacing every pruned device with an
 aggregated boundary load so the kept nodes see the same electrical
-environment.
+environment.  Like OpenNVRAM's characterizer it keeps no second netlist
+builder: :func:`build_trimmed_array` runs the one array builder of
+:mod:`repro.dram.array` over the plan's kept rows and columns, and that
+builder adds the boundary loads of the pruned taps; a window that prunes
+nothing builds the full array device for device.
 
 Why the trim is (near-)exact in this device model
 -------------------------------------------------
@@ -50,13 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dram.array import (DEFAULT_C_WL, DEFAULT_R_BL, DEFAULT_R_WL,
-                              ArrayNetlist, build_array)
-from repro.dram.column import DEFECT_DEVICE, DefectSite
+                              ArrayNetlist, _build_window, build_array)
+from repro.dram.column import DefectSite
 from repro.dram.tech import TechnologyParams, default_tech
-from repro.spice.devices import Capacitor, Resistor, VoltageSource, Diode
 from repro.spice.errors import NetlistError
-from repro.spice.mosfet import Mosfet, mosfet_curves
-from repro.spice.netlist import Circuit
+from repro.spice.mosfet import mosfet_curves
 from repro.spice.waveforms import Constant
 
 __all__ = [
@@ -282,10 +284,11 @@ def build_trimmed_array(rows: int, cols: int,
                         c_bl: float | None = None) -> TrimmedArrayNetlist:
     """Build the active-window netlist of an ``rows``×``cols`` array.
 
-    Kept: the accessed row's and column's full RC ladders, every cell
-    at a kept-row × kept-column crossing (defect routing identical to
-    :func:`~repro.dram.array.build_array`), and the precharge periphery
-    of the kept columns.  Pruned devices fold into boundary loads:
+    Kept, through :func:`~repro.dram.array.build_array`'s own builder:
+    the accessed row's and column's full RC ladders, every cell at a
+    kept-row × kept-column crossing (defect routing included), and the
+    precharge periphery of the kept columns.  Pruned devices fold into
+    boundary loads:
 
     * a pruned cell on a kept word line → its gate capacitance, added
       to the tap's shunt capacitor (``c_trimg*``);
@@ -295,130 +298,22 @@ def build_trimmed_array(rows: int, cols: int,
       exactly, since nothing kept couples to them (see module docs).
     """
     tech = tech or default_tech()
-    if defect is not None and defect.cell >= rows * cols:
-        raise NetlistError(
-            f"defect cell {defect.cell} outside the {rows}x{cols} array")
     if address is None:
         address = default_address(rows, cols, defect)
     plan = plan_trim(rows, cols, address, defect, halo=halo)
-    if c_bl is None:
-        c_bl = tech.cbl / rows
-    if r_wl <= 0 or r_bl <= 0 or c_wl <= 0 or c_bl <= 0:
-        raise NetlistError("line parasitics must be positive")
-
-    c = Circuit(f"dram_array_{rows}x{cols}_trim")
-    c.trimmed = True
-    gnd = c.node("0")
-    vdd = c.node("vdd")
-    vpre = c.node("vpre")
-    eq = c.node("eq")
-    c.add(VoltageSource("v_vdd", vdd, gnd, Constant(tech.vdd_nom)))
-    c.add(VoltageSource("v_pre", vpre, gnd,
-                        Constant(tech.vbl_pre(tech.vdd_nom))))
-    c.add(VoltageSource("v_eq", eq, gnd, Constant(0.0)))
-
-    boundary_caps = 0
-    boundary_leaks = 0
-
-    # Kept word lines: full RC ladder; pruned cells reduce to their
-    # gate capacitance at the tap (gates draw no current).
-    for r in plan.kept_rows:
-        drv = c.node(f"wl{r}d")
-        c.add(VoltageSource(f"v_wl{r}", drv, gnd, Constant(0.0)))
-        prev = drv
-        for col in range(cols):
-            tap = c.node(f"wl{r}_{col}")
-            c.add(Resistor(f"r_wl{r}_{col}", prev, tap, r_wl))
-            c.add(Capacitor(f"c_wl{r}_{col}", tap, gnd, c_wl))
-            if not plan.keeps_col(col):
-                c.add(Capacitor(f"c_trimg{r}_{col}", tap, gnd,
-                                tech.cg_access))
-                boundary_caps += 1
-            prev = tap
-
-    # Kept bit lines: precharge head + full RC ladder; pruned cells
-    # (rows outside the window, always off) reduce to an aggregated
-    # off-state leakage conductance at their tap.
     g_off = pruned_cell_conductance(tech)
-    for col in plan.kept_cols:
-        head = c.node(f"bl{col}_0")
-        c.add(Mosfet(f"m_pre{col}", head, eq, vpre, tech.nmos,
-                     w=tech.pre_w, l=tech.pre_l))
-        c.add(Capacitor(f"c_bl{col}_0", head, gnd, c_bl))
-        prev = head
-        for r in range(1, rows):
-            tap = c.node(f"bl{col}_{r}")
-            c.add(Resistor(f"r_bl{col}_{r}", prev, tap, r_bl))
-            c.add(Capacitor(f"c_bl{col}_{r}", tap, gnd, c_bl))
-            prev = tap
-        for r in range(rows):
-            if not plan.keeps_row(r) \
-                    and g_off > MIN_BOUNDARY_CONDUCTANCE:
-                c.add(Resistor(f"r_trimleak{col}_{r}",
-                               c.node(f"bl{col}_{r}"), gnd, 1.0 / g_off))
-                boundary_leaks += 1
-
-    # Kept cells: identical to the full builder, defect routing
-    # included (the plan keeps the defective cell by construction).
-    storage_nodes: list[str] = []
-    for r in plan.kept_rows:
-        for col in plan.kept_cols:
-            idx = r * cols + col
-            sn = c.node(f"sn{r}_{col}")
-            wl_tap = c.node(f"wl{r}_{col}")
-            bl_tap = c.node(f"bl{col}_{r}")
-            here = defect is not None and defect.cell == idx
-            kind = defect.kind if here else None
-
-            if kind == "open_gate":
-                gate = c.node(f"g_int{idx}")
-                c.add(Resistor(DEFECT_DEVICE, wl_tap, gate,
-                               defect.resistance))
-            else:
-                gate = wl_tap
-            c.add(Capacitor(f"c_g{r}_{col}", gate, gnd, tech.cg_access))
-
-            if kind == "open_bl":
-                drain = c.node(f"d_int{idx}")
-                c.add(Resistor(DEFECT_DEVICE, bl_tap, drain,
-                               defect.resistance))
-            else:
-                drain = bl_tap
-
-            if kind == "open_sn":
-                src = c.node(f"s_int{idx}")
-                c.add(Resistor(DEFECT_DEVICE, src, sn, defect.resistance))
-            else:
-                src = sn
-
-            c.add(Mosfet(f"m_acc{r}_{col}", drain, gate, src,
-                         tech.access_params,
-                         w=tech.access_w, l=tech.access_l))
-            c.add(Capacitor(f"c_s{r}_{col}", sn, gnd, tech.cs))
-            c.add(Diode(f"d_leak{r}_{col}", gnd, sn, isat=tech.leak_isat,
-                        temp_nom_c=tech.leak_tnom_c,
-                        isat_tdouble=tech.leak_tdouble))
-
-            if kind == "short_gnd":
-                c.add(Resistor(DEFECT_DEVICE, sn, gnd, defect.resistance))
-            elif kind == "short_vdd":
-                c.add(Resistor(DEFECT_DEVICE, sn, vdd, defect.resistance))
-            elif kind == "bridge_bl":
-                c.add(Resistor(DEFECT_DEVICE, sn, bl_tap,
-                               defect.resistance))
-            elif kind == "bridge_wl":
-                c.add(Resistor(DEFECT_DEVICE, sn, wl_tap,
-                               defect.resistance))
-
-            storage_nodes.append(sn.name)
-
-    control_sources = (["v_vdd", "v_pre", "v_eq"]
-                       + [f"v_wl{r}" for r in plan.kept_rows])
+    g_leak = g_off if g_off > MIN_BOUNDARY_CONDUCTANCE else None
+    circuit, storage_nodes, control_sources = _build_window(
+        rows, cols, tech, defect, plan.kept_rows, plan.kept_cols,
+        r_wl=r_wl, c_wl=c_wl, r_bl=r_bl, c_bl=c_bl, g_leak=g_leak)
+    circuit.title += "_trim"
+    circuit.trimmed = True
+    n_rows, n_cols = len(plan.kept_rows), len(plan.kept_cols)
     return TrimmedArrayNetlist(
-        circuit=c, tech=tech, defect=defect, rows=rows, cols=cols,
+        circuit=circuit, tech=tech, defect=defect, rows=rows, cols=cols,
         storage_nodes=storage_nodes, control_sources=control_sources,
-        plan=plan, boundary_caps=boundary_caps,
-        boundary_leaks=boundary_leaks)
+        plan=plan, boundary_caps=n_rows * (cols - n_cols),
+        boundary_leaks=0 if g_leak is None else n_cols * (rows - n_rows))
 
 
 def trim_array(rows: int, cols: int,
