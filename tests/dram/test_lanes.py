@@ -152,6 +152,20 @@ class TestLaneIsolation:
             assert lane_seq.outputs == legacy_seq.outputs
 
 
+def _column_step(resistances):
+    """A dense lane system of the ``open_sn`` column at the first step
+    of a ``w1`` from 0 V: ``(lanes, A_step, b_step, x0, temp_c)``."""
+    runner = ColumnRunner(defect=DefectSite("open_sn", 0, 1.0))
+    runner.netlist.set_waveforms(runner.stimulus(Op.parse("w1"))[0])
+    system = System(runner.netlist.circuit)
+    lanes = LaneSystem(system, resistances, DEFECT_DEVICE)
+    dt = runner.stress.tcyc * runner.tech.dt_frac
+    x0 = np.zeros((len(resistances), system.size))
+    A = lanes.step_matrix_lanes(dt, "be")
+    b = lanes.step_rhs_lanes(dt, dt, "be", x0)
+    return lanes, A, b, x0, runner.stress.temp_c
+
+
 class TestFactorCache:
     def test_subset_solve_reads_each_lanes_own_factors(self):
         """Regression: a solve over a subset of the lanes seeds each
@@ -159,15 +173,7 @@ class TestFactorCache:
         cached factor is zeroed, still flagged valid, before lanes 1 and
         2 solve; read by batch row, lane 1 got the zeros, whose update
         is 0, and came back unmoved from its start, flagged converged."""
-        runner = ColumnRunner(defect=DefectSite("open_sn", 0, 1.0))
-        runner.netlist.set_waveforms(runner.stimulus(Op.parse("w1"))[0])
-        system = System(runner.netlist.circuit)
-        lanes = LaneSystem(system, (1e4, 3e5, 1e7), DEFECT_DEVICE)
-        dt = runner.stress.tcyc * runner.tech.dt_frac
-        x0 = np.zeros((3, system.size))
-        A = lanes.step_matrix_lanes(dt, "be")
-        b = lanes.step_rhs_lanes(dt, dt, "be", x0)
-        temp_c = runner.stress.temp_c
+        lanes, A, b, x0, temp_c = _column_step((1e4, 3e5, 1e7))
         sub = np.array([1, 2])
         with dense_errstate():
             _, failed = newton_solve_lanes(lanes, A, b, x0, np.arange(3),
@@ -184,6 +190,33 @@ class TestFactorCache:
         assert not failed.any()
         # Both solves stop on a chord update under the lane loop's vtol.
         assert np.abs(x - fresh).max() <= LANE_VTOL_FACTOR * DEFAULT_VTOL
+
+    def test_non_finite_update_refactors_the_lane(self, monkeypatch):
+        """A pass whose update comes out non-finite (SuperLU's way of
+        reporting some singular systems) moves nothing and marks the
+        lane stale; its refactor then converges it, on dense lanes too,
+        where the NaN used to spread through the iterate."""
+        lanes, A, b, x0, temp_c = _column_step((1e4, 3e5))
+        with dense_errstate():
+            clean, failed = newton_solve_lanes(lanes, A, b, x0,
+                                               np.arange(2), temp_c=temp_c)
+            assert not failed.any()
+            lanes._M_valid[:] = False
+            real = lanes.apply_factors
+            poisoned = []
+
+            def nan_once(M, r):
+                dx = real(M, r)
+                if not poisoned:
+                    poisoned.append(True)
+                    dx[1] = np.nan
+                return dx
+
+            monkeypatch.setattr(lanes, "apply_factors", nan_once)
+            x, failed = newton_solve_lanes(lanes, A, b, x0, np.arange(2),
+                                           temp_c=temp_c)
+        assert poisoned and not failed.any()
+        assert np.abs(x - clean).max() <= LANE_VTOL_FACTOR * DEFAULT_VTOL
 
 
 class TestLaneRunnerSurface:

@@ -1,10 +1,10 @@
 """Sparse lane system: parity, policy resolution, degradation, guards.
 
-The sparse lane kernel (:class:`repro.spice.lanes.SparseLaneSystem` +
-:func:`repro.spice.solver.newton_solve_lanes_sparse`) batches the CSR
-backend the way :class:`~repro.spice.lanes.LaneSystem` batches the
-dense one: every lane shares the plan-derived sparsity pattern (one
-symbolic factorization) and keeps per-lane SuperLU numeric
+The sparse lane kernel (:class:`repro.spice.lanes.SparseLaneSystem`,
+run by the one lane loop :func:`repro.spice.solver.newton_solve_lanes`)
+batches the CSR backend the way :class:`~repro.spice.lanes.LaneSystem`
+batches the dense one: every lane shares the plan-derived sparsity
+pattern (one symbolic factorization) and keeps per-lane SuperLU numeric
 factorizations, refreshed only on quasi-Newton stagnation.  These tests
 pin the contract: trajectories within the documented lane tolerance of
 the dense kernel, policy resolution mirroring the serial backend
