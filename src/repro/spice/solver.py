@@ -263,7 +263,7 @@ def newton_solve_lanes(lanes, A_step: np.ndarray, b_step: np.ndarray,
     on every pass instead: the damped full Newton of the serial kernel,
     the lane driver's last rung before it isolates a lane.
 
-    The loop is one for both storage formats; the lane system supplies
+    One loop serves both storage formats; the lane system supplies
     the four steps that depend on the format: ``solve_lanes`` (a linear
     system's exact solves), ``refactor_lanes`` (assemble and factor the
     stale rows' Jacobians), ``matvec_lanes`` (``A x``) and
