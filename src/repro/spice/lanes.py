@@ -273,9 +273,9 @@ class LaneSystem:
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian inverses of the given rows, linearised at ``x2``.
 
-        Returns ``(M, ok)``: one batched ``np.linalg.inv``, or on a
-        singular batch per-lane inverses with a singular lane's left
-        zero and its ``ok`` flag cleared.  The caller must hold
+        Returns ``(M, ok)``: one batched ``np.linalg.inv``, or, when the
+        batch is singular, per-lane inverses in which a singular lane's
+        stays zero and its ``ok`` flag is cleared.  The caller must hold
         :func:`~repro.spice.linalg.dense_errstate`.
         """
         A, _ = self.build_iteration_lanes(A_step, b_step, x2, temp_c)
