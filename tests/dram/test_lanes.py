@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.dram.runner as runner_mod
 import repro.spice.lanes as lanes_mod
 from repro.dram import ColumnRunner
 from repro.dram.column import DEFECT_DEVICE, DefectSite
@@ -217,6 +218,59 @@ class TestFactorCache:
                                            temp_c=temp_c)
         assert poisoned and not failed.any()
         assert np.abs(x - clean).max() <= LANE_VTOL_FACTOR * DEFAULT_VTOL
+
+
+#: ``(resistance, init_vc)`` lanes of the batch-mate test: an O3 open
+#: from a strong to a fully open cell, from four different start states.
+MATE_LANES = ((30e3, 1.2), (245e3, 0.9), (2e6, 1.5), (500e3, 0.0))
+
+#: Lane positions run together; every lane also runs alone.
+MATE_GROUPS = ((0, 1, 2, 3), (2, 0), (3, 1, 0), (3, 2, 1, 0))
+
+
+def _lane_records(ops: str, picks) -> list[dict]:
+    """Run ``MATE_LANES[picks]`` as one batch on the O3 column at nominal
+    stress; per lane, every cycle's recorded data and ``final_x``, and
+    its ``vc_end`` and sensed bits."""
+    batches = []
+    real = runner_mod.lane_transient
+
+    def logged(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        batches.append(batch)
+        return batch
+
+    runner = LaneRunner(defect_kind="open_sn")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner_mod, "lane_transient", logged)
+        results, counters = runner.run_sequences(
+            ops, [MATE_LANES[k] for k in picks])
+    assert counters["lanes_isolated"] == 0
+    assert counters["lane_continuation_hits"] == 0
+    assert counters.get("lane_full_newton_hits", 0) == 0
+    return [{"data": [b.results[row]._data for b in batches],
+             "final_x": [b.results[row].final_x for b in batches],
+             "vc_end": seq.vc_after, "sensed": seq.outputs}
+            for row, seq in enumerate(results)]
+
+
+class TestBatchMates:
+    @pytest.mark.parametrize("ops", ["r", "w0 w0", "w1 r1", "r r r"])
+    def test_lane_result_does_not_depend_on_its_batch_mates(self, ops):
+        """Each lane comes out bitwise the same alone, in any subset of
+        the batch and in any order: the lane loop's common path and its
+        subset path do the same arithmetic per lane."""
+        alone = [_lane_records(ops, (k,))[0]
+                 for k in range(len(MATE_LANES))]
+        for group in MATE_GROUPS:
+            for k, got in zip(group, _lane_records(ops, group)):
+                want = alone[k]
+                assert got["vc_end"] == want["vc_end"], (group, k)
+                assert got["sensed"] == want["sensed"], (group, k)
+                for field in ("data", "final_x"):
+                    assert len(got[field]) == len(want[field])
+                    for g, w in zip(got[field], want[field]):
+                        assert np.array_equal(g, w), (group, k, field)
 
 
 class TestLaneRunnerSurface:
