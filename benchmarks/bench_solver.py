@@ -7,7 +7,8 @@ artifact) and ``BENCH_solver.json``:
 * the ``w0 w1 r1`` operation-cycle sequence on the reference cell open
   (the unit of work behind every electrical sweep) — cold runs, i.e. a
   fresh column model (and compiled :class:`~repro.spice.mna.System`) per
-  repetition;
+  repetition — with the Newton iterations and steps of a run, read from
+  the run registry (they repeat exactly);
 * the Fig. 2 electrical plane path (:func:`repro.experiments
   .fig2_result_planes` on a reduced resistance grid) — the sweep shape
   that reuses one system across hundreds of chained cycles.
@@ -39,6 +40,7 @@ sys.path.insert(0, str(REPO_ROOT))  # the golden replay lives in tests/
 
 import numpy as np  # noqa: E402
 
+from repro.diagnostics import reset_diagnostics  # noqa: E402
 from repro.experiments.figures import fig2_result_planes  # noqa: E402
 from tests.spice.test_golden_transients import (  # noqa: E402
     CYCLE_OPS,
@@ -49,6 +51,14 @@ from tests.spice.test_golden_transients import (  # noqa: E402
 )
 
 
+def _counted_cycles():
+    """One ``w0 w1 r1`` run with its Newton iterations and steps."""
+    diag = reset_diagnostics()
+    seq = run_cycles()
+    return (seq, diag.counts.get("kernel.plan_iteration_assembly", 0),
+            diag.counts.get("transient.steps", 0))
+
+
 def _run_planes(points: int):
     return fig2_result_planes(backend="electrical", points=points)
 
@@ -57,7 +67,7 @@ def run_benchmark(quick: bool = False) -> dict:
     rounds = 3 if quick else 5
     points = 4 if quick else 6
 
-    cycles_s, seq = best_of(run_cycles, rounds)
+    cycles_s, (seq, newton_iters, steps) = best_of(_counted_cycles, rounds)
     golden = json.loads(GOLDEN.read_text())["cases"]["w0_w1_r1"]
     bad = mismatches(record_cycles(seq), golden)
 
@@ -72,6 +82,8 @@ def run_benchmark(quick: bool = False) -> dict:
         "parity": not bad,
         "mismatches": bad[:5],
         "cycles_s": cycles_s,
+        "newton_iters": newton_iters,
+        "steps": steps,
         "planes_s": planes_s,
     }
 
@@ -88,6 +100,8 @@ def render(res: dict) -> str:
         f"{CYCLE_OPS!r} cycle sequence (electrical, reference cell open)",
         f"  best of {res['rounds']} cold runs (fresh model + compiled "
         f"system each): {res['cycles_s'] * 1e3:8.1f} ms",
+        f"  Newton iterations / steps per run: {res['newton_iters']} / "
+        f"{res['steps']} ({res['newton_iters'] / res['steps']:.2f} a step)",
         f"  golden parity: {parity}",
         "",
         f"fig2 electrical plane path ({res['points']}-point grid)",

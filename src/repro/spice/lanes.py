@@ -45,9 +45,9 @@ from repro.spice.backends import SparseBackend, resolve_backend
 from repro.spice.errors import SingularMatrixError, SpiceError
 from repro.spice.linalg import dense_errstate
 from repro.spice.mna import STEP_CACHE_MAX, System
-from repro.spice.solver import (DEFAULT_VSTEP_MAX, _try_solve_lanes,
-                                newton_solve_lanes)
-from repro.spice.transient import TransientResult, _build_grid
+from repro.spice.solver import _try_solve_lanes, newton_solve_lanes
+from repro.spice.transient import (StepPredictor, TransientResult,
+                                   _build_grid)
 
 #: The sparse lanes' former loop, now another name for the one lane
 #: loop; kept because the end-to-end benchmark's trace binds it
@@ -654,37 +654,15 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
 
     with diagnostics().timer("transient.lanes"), dense_errstate():
         t_prev = grid[0]
-        x2_prev: np.ndarray | None = None
-        d_prev: np.ndarray | None = None
-        dt_prev = 0.0
-        dt_prev2 = 0.0
+        predictor = StepPredictor()
         for gi in range(1, len(grid)):
             t_target = grid[gi]
             dt_step = t_target - t_prev
             A_step = lanes.step_matrix_lanes(dt_step, method)
             b_step = lanes.step_rhs_lanes(t_target, dt_step, method, x2)
-            # Polynomial predictor: extrapolate the Newton initial
-            # guess from the last accepted solutions (quadratic through
-            # three once available, linear through two before that).
-            # Affects only the convergence path (the fixed point is
-            # unchanged), but typically saves a chord pass per step.
-            # The extrapolated delta is clamped to the solver's damping
-            # cap — around source breakpoints the history slope is
-            # stale and an unbounded prediction can strand a lane in
-            # the wrong basin.  The older slope is the one the last
-            # step took.
-            d1 = None
-            if x2_prev is not None and dt_prev > 0.0:
-                d1 = (x2 - x2_prev) * (1.0 / dt_prev)
-                delta = d1 * dt_step
-                if d_prev is not None:
-                    delta += (d1 - d_prev) * (dt_step * (dt_step + dt_prev)
-                                              / (dt_prev + dt_prev2))
-                np.maximum(delta, -DEFAULT_VSTEP_MAX, out=delta)
-                np.minimum(delta, DEFAULT_VSTEP_MAX, out=delta)
-                guess = x2 + delta
-            else:
-                guess = x2
+            # The serial loop's predictor: typically a chord pass saved
+            # per step.
+            guess = predictor.guess(x2, dt_step)
             if isolated:
                 act = np.flatnonzero(alive)
                 if act.size == 0:
@@ -754,8 +732,7 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
                     counters["lanes_isolated"] += int(bad.size)
                     isolated = True
             lanes.accept_step_lanes(x2, x_cand, dt_step, method)
-            x2_prev, dt_prev2, dt_prev = x2, dt_prev, dt_step
-            d_prev = d1
+            predictor.accept(x2, dt_step)
             x2 = x_cand
             # An isolated lane's row is never read (its result is None).
             data[:, gi] = x2[:, :num_nodes]

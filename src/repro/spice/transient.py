@@ -17,8 +17,10 @@ cycles, feeding each cycle's final state into the next.
 
 One step loop implements that strategy: compiled stamp plans, a
 per-``dt`` step-matrix cache, a cursor walk of the grid with a bounded
-bisection stack, preallocated result buffers, and (for linear circuits)
-cached LU factorizations.  It needs the circuit's capacitors and sources
+bisection stack, preallocated result buffers, (for linear circuits)
+cached LU factorizations, and (for nonlinear ones) a Newton start
+extrapolated from the accepted history (:class:`StepPredictor`, shared
+with the lane kernel).  It needs the circuit's capacitors and sources
 compiled into plans; every built-in device compiles, and a circuit with
 a custom capacitor-like or source device raises :class:`SpiceError`.
 ``tests/golden/spice_transients.json`` pins its trajectories
@@ -37,7 +39,8 @@ from repro.spice.errors import ConvergenceError, SpiceError
 from repro.spice.linalg import dense_errstate
 from repro.spice.mna import DEFAULT_GMIN, System
 from repro.spice.netlist import AnalysisContext, Circuit
-from repro.spice.solver import gmin_step_solve, newton_solve
+from repro.spice.solver import (DEFAULT_VSTEP_MAX, gmin_step_solve,
+                                newton_solve)
 from repro.spice.waveforms import merge_breakpoints
 
 
@@ -150,6 +153,56 @@ def _build_grid(tstop: float, dt: float, waveforms) -> list[float]:
         if grid[-1] != tstop:
             grid[-1] = tstop
     return grid
+
+
+class StepPredictor:
+    """Newton's starting guess for a step, extrapolated from the
+    accepted history: the accepted state itself on a transient's first
+    step, linear through the last two accepted states on its second,
+    quadratic through the last three after that.
+
+    The serial step loop and :func:`~repro.spice.lanes.lane_transient`
+    share it (one state vector or a stack of lanes).  Only Newton's
+    starting point moves; its fixed point does not.  The extrapolated
+    delta is clamped to the solver's damping cap: around source
+    breakpoints the history slope is stale, and an unbounded prediction
+    can strand a solve in the wrong basin.
+    """
+
+    __slots__ = ("_x_prev", "_d_prev", "_d1", "_dt_prev", "_dt_prev2")
+
+    def __init__(self):
+        self._x_prev = None
+        self._d_prev = None
+        self._d1 = None
+        self._dt_prev = 0.0
+        self._dt_prev2 = 0.0
+
+    def guess(self, x: np.ndarray, dt_step: float) -> np.ndarray:
+        """The guess for a step of ``dt_step`` from accepted state ``x``
+        (a bisection retry asks again with its own ``dt_step``)."""
+        x_prev = self._x_prev
+        if x_prev is None:
+            self._d1 = None
+            return x
+        dt_prev = self._dt_prev
+        d1 = self._d1 = (x - x_prev) * (1.0 / dt_prev)
+        delta = d1 * dt_step
+        d_prev = self._d_prev
+        if d_prev is not None:
+            delta += (d1 - d_prev) * (dt_step * (dt_step + dt_prev)
+                                      / (dt_prev + self._dt_prev2))
+        np.maximum(delta, -DEFAULT_VSTEP_MAX, out=delta)
+        np.minimum(delta, DEFAULT_VSTEP_MAX, out=delta)
+        return x + delta
+
+    def accept(self, x: np.ndarray, dt_step: float) -> None:
+        """Take the step of ``dt_step`` that :meth:`guess` last predicted
+        from ``x``: ``x`` becomes the previous state and that step's
+        slope the older slope."""
+        self._x_prev = x
+        self._dt_prev2, self._dt_prev = self._dt_prev, dt_step
+        self._d_prev = self._d1
 
 
 def transient(circuit: Circuit, tstop: float, dt: float, *,
@@ -274,6 +327,8 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
     t = 0.0
     gi = 1
     stack: list[float] = []  # pending bisection midpoints (LIFO)
+    # A linear step's solve ignores its starting point.
+    predictor = None if linear else StepPredictor()
     while True:
         if stack:
             t_target = stack[-1]
@@ -295,8 +350,9 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
         if timers:
             _t1 = _time.perf_counter()
             timers.add_time("transient.assemble_step", _t1 - _t0)
+        guess = predictor.guess(x, dt_step) if predictor else x
         try:
-            x_new = newton_solve(system, A_step, b_step, ctx, x,
+            x_new = newton_solve(system, A_step, b_step, ctx, guess,
                                  linear_fact=fact, fast_solve=True,
                                  backend=backend)
         except ConvergenceError as exc:
@@ -323,6 +379,8 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
         if timers:
             timers.add_time("transient.solve", _time.perf_counter() - _t1)
         system.accept_step(x, x_new, dt_step, method)
+        if predictor:
+            predictor.accept(x, dt_step)
         x = x_new
         t = t_target
         if stack:

@@ -219,6 +219,36 @@ def _inverter():
     return c
 
 
+class TestPredictedStart:
+    def test_a_smooth_ramp_takes_under_two_iterations_a_step(self):
+        """Each step's Newton starts from the accepted history
+        extrapolated (``StepPredictor``): on an input ramp that tracks
+        the trajectory, where the accepted state alone took 538
+        iterations over the 200 steps (2.69 a step)."""
+        from repro.diagnostics import reset_diagnostics
+        c = Circuit()
+        vdd = c.node("vdd")
+        c.add(VoltageSource("VDD", vdd, c.node("0"), Constant(2.4)))
+        c.add(VoltageSource("VIN", c.node("i"), c.node("0"),
+                            PWL([(0.0, 0.0), (20e-9, 2.4)])))
+        c.add(Mosfet("MP", c.node("o"), c.node("i"), vdd, PMOS_DEFAULT,
+                     w=2e-6))
+        c.add(Mosfet("MN", c.node("o"), c.node("i"), c.node("0"),
+                     NMOS_DEFAULT, w=1e-6))
+        c.add(Capacitor("CL", c.node("o"), c.node("0"), 10e-15))
+        diag = reset_diagnostics()
+        try:
+            res = transient(c, 20e-9, 0.1e-9,
+                            initial={"o": 2.4, "vdd": 2.4})
+            iterations = diag.counts["kernel.plan_iteration_assembly"]
+        finally:
+            reset_diagnostics()
+        steps = len(res.time) - 1
+        assert steps == 200
+        assert res.final("o") == pytest.approx(0.0, abs=0.05)
+        assert iterations / steps < 2.0
+
+
 def _assert_identical(res_a, res_b):
     assert np.array_equal(res_a.time, res_b.time)
     assert np.array_equal(res_a.final_x, res_b.final_x)
