@@ -66,15 +66,6 @@ class FaultClassification:
         return f"R={self.resistance:.3g}: {names}"
 
 
-def _stores(vc: float, value: int, vdd: float) -> bool:
-    """Does a physical cell voltage correspond to logical ``value``?
-
-    Uses the mid-point voltage (Vdd/2) as the state boundary, per the
-    paper's ``Vmp`` convention.
-    """
-    return (vc > 0.5 * vdd) == bool(value)
-
-
 def classify_fault_primitives(model: ColumnModel, resistance: float,
                               ) -> FaultClassification:
     """Probe the standard fault primitives at one defect resistance.

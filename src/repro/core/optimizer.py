@@ -23,6 +23,7 @@ and renders the paper's Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.analysis.border import BorderResult
@@ -40,9 +41,8 @@ from repro.core.stresses import (
     StressKind,
 )
 from repro.defects.catalog import ALL_DEFECTS, Defect, DefectKind, Placement
-from repro.engine import BatchExecutor, FailedResult, ResultCache, \
-    default_engine, parallel_map, set_default_engine
-from repro.store import ShardedStore
+from repro.diagnostics import diagnostics
+from repro.engine import FailedResult, parallel_map
 
 #: Default ST axes optimized, in the paper's Table-1 column order.
 DEFAULT_ST_KINDS = (StressKind.VDD, StressKind.TCYC, StressKind.DUTY,
@@ -265,44 +265,27 @@ class OptimizationTable:
         return render_optimization_table(self)
 
 
-def _defect_failure(defect: Defect, exc: Exception) -> FailedResult:
-    """A structured record for a defect whose whole flow failed."""
-    return FailedResult(
-        error_type=type(exc).__name__, message=str(exc),
-        rescue_trail=tuple(getattr(exc, "rescue_trail", None) or ()),
-        request_summary=f"optimize {defect.name}")
+def _optimize_row(defect: Defect | DefectKind, *, on_error: str,
+                  **flow) -> OptimizationRow | FailedResult:
+    """One defect's Table-1 row (module-level: picklable for the pool).
 
-
-def _optimize_task(args) -> tuple[OptimizationRow | FailedResult, object]:
-    """Worker body of the per-defect fan-out (module-level: picklable).
-
-    Each worker gets a fresh serial default engine — the parent may be
-    running a pool already, and nested pools would oversubscribe.  When
-    the parent's engine has a durable store, the worker's cache is backed
-    by a store on the same root: the worker appends its results to its
-    own segment and reads every other process's, so a checkpointed run
-    keeps them and a resumed one recalls them.  The per-worker engine
-    stats are returned so the parent can merge them.
+    Under ``on_error="isolate"`` a defect whose whole flow fails comes
+    back as a :class:`FailedResult`, recorded in the run diagnostics.
     """
-    defect, model_factory, base_stress, st_kinds, br_rel_tol, \
-        on_error, store_root = args
-    previous = default_engine()
-    store = ShardedStore(store_root) if store_root is not None else None
-    engine = BatchExecutor(cache=ResultCache(store=store), workers=1)
-    set_default_engine(engine)
     try:
-        row = optimize_defect(defect, model_factory=model_factory,
-                              base_stress=base_stress, st_kinds=st_kinds,
-                              br_rel_tol=br_rel_tol, on_error=on_error)
+        return optimize_defect(defect, on_error=on_error, **flow)
     except Exception as exc:
         if on_error != "isolate":
             raise
-        return _defect_failure(defect, exc), engine.stats
-    finally:
-        set_default_engine(previous)
-        if store is not None:
-            store.close()
-    return row, engine.stats
+        name = (defect if isinstance(defect, Defect)
+                else Defect(defect)).name
+        failure = FailedResult(
+            error_type=type(exc).__name__, message=str(exc),
+            rescue_trail=tuple(getattr(exc, "rescue_trail", None) or ()),
+            request_summary=f"optimize {name}")
+        diagnostics().record_failure(failure.error_type,
+                                     failure.describe())
+        return failure
 
 
 def optimize_all_defects(*, model_factory=None,
@@ -317,55 +300,20 @@ def optimize_all_defects(*, model_factory=None,
     Every defect's flow is independent, so ``workers > 1`` fans the
     per-defect × per-ST work out over a process pool (``model_factory``
     must then be picklable — a module-level function or
-    ``functools.partial``; closures fall back to the serial loop).  Row
-    order, and therefore the rendered table, is identical either way.
-    Workers share the default engine's durable store, if it has one, but
-    not its journal.
+    ``functools.partial``; closures fall back to the in-process loop).
+    Row order, and therefore the rendered table, is identical either
+    way.  Workers share the default engine's durable store, if it has
+    one, but not its journal (:func:`repro.engine.parallel_map`).
 
     ``on_error="isolate"`` contains failures at two levels: probe
     failures degrade the affected border search, and a defect whose
     flow still fails is dropped into ``OptimizationTable.failures``
     instead of aborting the whole table.
     """
-    if workers <= 1:
-        rows: list[OptimizationRow] = []
-        failures: list[FailedResult] = []
-        for d in defects:
-            try:
-                rows.append(optimize_defect(d, model_factory=model_factory,
-                                            base_stress=base_stress,
-                                            st_kinds=st_kinds,
-                                            br_rel_tol=br_rel_tol,
-                                            on_error=on_error))
-            except Exception as exc:
-                if on_error != "isolate":
-                    raise
-                failures.append(_defect_failure(
-                    d if isinstance(d, Defect) else Defect(d), exc))
-        _record_failures(failures)
-        return OptimizationTable(rows, failures=failures)
-    cache = default_engine().cache
-    store_root = (str(cache.store.root)
-                  if cache is not None and cache.store is not None else None)
-    tasks = [(d, model_factory, base_stress, st_kinds, br_rel_tol,
-              on_error, store_root)
-             for d in defects]
-    outcomes = parallel_map(_optimize_task, tasks, workers=workers)
-    stats = default_engine().stats
-    rows = []
-    failures = []
-    for outcome, worker_stats in outcomes:
-        if isinstance(outcome, FailedResult):
-            failures.append(outcome)
-        else:
-            rows.append(outcome)
-        stats.merge(worker_stats)
-    _record_failures(failures)
-    return OptimizationTable(rows, failures=failures)
-
-
-def _record_failures(failures: list[FailedResult]) -> None:
-    from repro.diagnostics import diagnostics
-    for failure in failures:
-        diagnostics().record_failure(failure.error_type,
-                                     failure.describe())
+    row = partial(_optimize_row, model_factory=model_factory,
+                  base_stress=base_stress, st_kinds=st_kinds,
+                  br_rel_tol=br_rel_tol, on_error=on_error)
+    outcomes = parallel_map(row, defects, workers=workers)
+    return OptimizationTable(
+        [o for o in outcomes if not isinstance(o, FailedResult)],
+        failures=[o for o in outcomes if isinstance(o, FailedResult)])

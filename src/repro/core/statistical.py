@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.analysis.border import battery_walk
@@ -39,8 +40,7 @@ from repro.core.stresses import (
     StressKind,
 )
 from repro.defects.catalog import ALL_DEFECTS, Defect
-from repro.engine import BatchExecutor, ResultCache, default_engine, \
-    parallel_map, set_default_engine
+from repro.engine import parallel_map
 
 #: Probe battery used to score SCs, in the order it runs.  Besides the
 #: border-search family it includes delay (nop) variants that sensitise
@@ -159,22 +159,11 @@ class StatisticalResult:
         return "\n".join(lines)
 
 
-def _detect_row_task(args) -> tuple[list[bool], object]:
-    """Score one population point over every candidate SC.
-
-    Module-level so :func:`repro.engine.parallel_map` can ship it to a
-    process pool; installs a fresh serial engine in the worker so a
-    pooled parent cannot recurse into nested pools.
-    """
-    defect, candidates, model_factory = args
-    previous = default_engine()
-    engine = BatchExecutor(cache=ResultCache(), workers=1)
-    set_default_engine(engine)
-    try:
-        row = [_detects(model_factory(defect, sc)) for sc in candidates]
-    finally:
-        set_default_engine(previous)
-    return row, engine.stats
+def _detect_row(defect: Defect, *, candidates, model_factory
+                ) -> list[bool]:
+    """Score one population point over every candidate SC
+    (module-level: picklable for the pool)."""
+    return [_detects(model_factory(defect, sc)) for sc in candidates]
 
 
 def statistical_optimization(
@@ -195,24 +184,12 @@ def statistical_optimization(
     candidates = corner_combinations(kinds, base)
     population = sample_population(defects, points_per_defect,
                                    model_factory=model_factory)
+    rows = parallel_map(partial(_detect_row, candidates=candidates,
+                                model_factory=model_factory),
+                        [point.defect for point in population],
+                        workers=workers)
     scores = [0] * len(candidates)
     per_defect: dict[str, list[int]] = {}
-
-    if workers <= 1:
-        rows = []
-        for point in population:
-            rows.append([_detects(model_factory(point.defect, sc))
-                         for sc in candidates])
-    else:
-        tasks = [(point.defect, candidates, model_factory)
-                 for point in population]
-        stats = default_engine().stats
-        rows = []
-        for row, worker_stats in parallel_map(_detect_row_task, tasks,
-                                              workers=workers):
-            rows.append(row)
-            stats.merge(worker_stats)
-
     for point, row in zip(population, rows):
         name = point.defect.name
         counts = per_defect.setdefault(name, [0] * len(candidates))

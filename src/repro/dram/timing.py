@@ -62,11 +62,6 @@ class CyclePlan:
     def tcyc(self) -> float:
         return self.stress.tcyc
 
-    @property
-    def active_window(self) -> float:
-        """Duration the word line stays high."""
-        return self.t_wl_off - self.t_wl_on
-
 
 def wordline_window(stress: StressConditions) -> tuple[float, float]:
     """Word-line (on, off) instants for the given stress conditions."""

@@ -47,6 +47,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.diagnostics import (diagnostics, get_logger, merge_counted,
@@ -55,6 +56,7 @@ from repro.dram.ops import SequenceResult, parse_ops
 from repro.engine.cache import EngineStats, ResultCache
 from repro.engine.failures import FailedResult, is_failed
 from repro.engine.request import SequenceRequest, tech_fingerprint
+from repro.store import ShardedStore
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -240,12 +242,11 @@ class BatchExecutor:
         Batched-lane width for :meth:`map`: same-topology electrical
         misses that differ only in defect resistance / initial voltage
         are stacked into one multi-lane transient of at most this many
-        lanes (see :mod:`repro.spice.lanes`).  ``0`` or ``1`` disables
-        lane grouping; ``None`` (the default) defers to the process-wide
-        :func:`repro.spice.transient.lanes_default` at map time.  Lane
-        groups run in-process — for the small sweeps this repo runs,
-        the stacked kernel beats shipping requests to worker processes,
-        so laneable work is carved out *before* the pool sees it.
+        lanes (see :mod:`repro.spice.lanes`).  ``None`` (the default),
+        ``0`` or ``1`` disables lane grouping.  Lane groups run
+        in-process — for the small sweeps this repo runs, the stacked
+        kernel beats shipping requests to worker processes, so laneable
+        work is carved out *before* the pool sees it.
     journal:
         Optional :class:`~repro.engine.journal.SweepJournal`: every
         completed request appends one fsync'd record *after* its result
@@ -439,10 +440,7 @@ class BatchExecutor:
         """
         if self._work is not execute_request:
             return 0
-        if self.lanes is not None:
-            return self.lanes
-        from repro.spice.transient import lanes_default
-        return lanes_default()
+        return self.lanes or 0
 
     def effective_lanes(self) -> int:
         """The lane width :meth:`map` would use right now.
@@ -689,29 +687,62 @@ def configure_default_engine(*, workers: int = 1, cache: bool = True,
 # ----------------------------------------------------------------------
 # generic fan-out
 # ----------------------------------------------------------------------
+def _on_fresh_engine(fn: Callable[[_T], _R], store_root: str | None,
+                     item: _T) -> tuple[_R, EngineStats]:
+    """Pool-worker side of :func:`parallel_map`: ``fn(item)`` on a fresh
+    serial default engine, returned with that engine's stats.
+
+    A forked worker inherits the parent's engine, whose pool it must not
+    nest.  When the parent's cache has a durable store, the fresh cache
+    is backed by a store on the same root, closed after the item: the
+    worker appends its results to its own segment and reads every other
+    process's, so a checkpointed run keeps them and a resumed one
+    recalls them.
+    """
+    previous = _DEFAULT_ENGINE
+    store = ShardedStore(store_root) if store_root is not None else None
+    engine = BatchExecutor(cache=ResultCache(store=store))
+    set_default_engine(engine)
+    try:
+        return fn(item), engine.stats
+    finally:
+        set_default_engine(previous)
+        if store is not None:
+            store.close()
+
+
 def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],
                  workers: int = 1) -> list[_R]:
     """Map ``fn`` over ``items``, in worker processes when possible.
 
-    Falls back to an in-process loop when ``workers <= 1``, when there
-    is nothing to parallelise, or when the function/items cannot be
-    pickled (closures over models, lambdas) — so callers can expose a
-    ``workers`` knob without restricting what their users pass in.  The
-    pickling fallback is *partial*: items that already completed in
-    workers keep their results, only the unfinished remainder re-runs
-    serially, and the degradation is logged as a warning.
+    Items run in-process, on the current default engine, when
+    ``workers <= 1``, when there is nothing to parallelise, or when the
+    function/items cannot be pickled (closures over models, lambdas) —
+    so callers can expose a ``workers`` knob without restricting what
+    their users pass in.  Pooled items each run on a fresh serial engine
+    (:func:`_on_fresh_engine`); their engine stats merge into the
+    default engine's and their run diagnostics into this run's, so run
+    totals cover every process.  The pickling fallback is *partial*:
+    items that already completed in workers keep their results, only
+    the unfinished remainder re-runs in-process, and the degradation is
+    logged as a warning.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    engine = default_engine()
+    store = engine.cache.store if engine.cache is not None else None
+    task = partial(_on_fresh_engine, fn,
+                   str(store.root) if store is not None else None)
     results: list = [_UNSET] * len(items)
     try:
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(items))) as pool:
-            futures = [(i, pool.submit(run_counted, fn, item))
+            futures = [(i, pool.submit(run_counted, task, item))
                        for i, item in enumerate(items)]
             for i, fut in futures:
-                results[i] = merge_counted(fut)
+                results[i], stats = merge_counted(fut)
+                engine.stats.merge(stats)
         return results
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         missing = [i for i, r in enumerate(results) if r is _UNSET]

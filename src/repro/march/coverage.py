@@ -10,6 +10,7 @@ the test detects the defect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.analysis.interface import ColumnModel
@@ -53,12 +54,13 @@ class CoverageReport:
                 f"{self.coverage:.0%}{extra}")
 
 
-def _coverage_task(args) -> bool:
+def _detected_at(r: float, *, test: MarchTest, model_factory,
+                 defect: Defect, stress: StressConditions, n_cells: int,
+                 defective_address: int) -> bool:
     """Detection at one resistance (module-level: picklable)."""
-    test, model_factory, defect, stress, r, n_cells, address = args
     model = model_factory(defect.with_resistance(r), stress)
     return run_march(test, model, n_cells=n_cells,
-                     defective_address=address).detected
+                     defective_address=defective_address).detected
 
 
 def fault_coverage(test: MarchTest,
@@ -75,16 +77,10 @@ def fault_coverage(test: MarchTest,
     so the engine cannot memoize inside a run; ``workers > 1`` instead
     fans the independent per-resistance runs out over a process pool.
     """
-    report = CoverageReport(test, defect, stress, list(resistances))
-    if workers <= 1:
-        for r in resistances:
-            model = model_factory(defect.with_resistance(r), stress)
-            outcome = run_march(test, model, n_cells=n_cells,
-                                defective_address=defective_address)
-            report.detected.append(outcome.detected)
-        return report
-    tasks = [(test, model_factory, defect, stress, r, n_cells,
-              defective_address) for r in resistances]
-    report.detected.extend(parallel_map(_coverage_task, tasks,
-                                        workers=workers))
-    return report
+    detected_at = partial(_detected_at, test=test,
+                          model_factory=model_factory, defect=defect,
+                          stress=stress, n_cells=n_cells,
+                          defective_address=defective_address)
+    return CoverageReport(test, defect, stress, list(resistances),
+                          detected=parallel_map(detected_at, resistances,
+                                                workers=workers))

@@ -16,8 +16,8 @@ loop's four format steps.
 
 Policy:
 
-* lanes are **opt-in** (``repro.spice.transient.set_lanes_default``);
-  the serial path stays the default and the lanes' reference;
+* lanes are **opt-in** (an engine's ``lanes`` width, ``--lanes N`` on
+  the CLI); the serial path stays the default and the lanes' reference;
 * lane results carry a documented **fp tolerance** (~1e-5 V) instead of
   the bitwise guarantee — the batched scatter sums device deltas apart
   from the base buffer and the device math uses numpy's SIMD

@@ -84,10 +84,6 @@ class Device:
     def stamp_nonlinear(self, st: "Stamper") -> None:
         """Stamp Newton-iterate dependent contributions."""
 
-    @property
-    def is_nonlinear(self) -> bool:
-        return type(self).stamp_nonlinear is not Device.stamp_nonlinear
-
     def __repr__(self):
         names = ",".join(n.name for n in self.node_list)
         return f"{type(self).__name__}({self.name!r}, nodes=[{names}])"
@@ -341,19 +337,6 @@ class Stamper:
         if in_ >= 0:
             A[in_, row] -= 1.0
             A[row, in_] -= 1.0
-
-    def voltage_source(self, p: Node, n: Node, branch: int, value: float) -> None:
-        """Stamp an ideal voltage source ``v(p) - v(n) = value``."""
-        A, b = self.A, self.b
-        row = self.branch_row(branch)
-        ip, in_ = p.index, n.index
-        if ip >= 0:
-            A[ip, row] += 1.0
-            A[row, ip] += 1.0
-        if in_ >= 0:
-            A[in_, row] -= 1.0
-            A[row, in_] -= 1.0
-        b[row] += value
 
     def branch_rhs(self, branch: int, value: float) -> None:
         """Add ``value`` to the RHS of a branch equation (source waveforms)."""

@@ -119,10 +119,6 @@ class _Recorder:
             self.mat.append((in_, row, -1.0))
             self.mat.append((row, in_, -1.0))
 
-    def voltage_source(self, p, n, branch, value):
-        self.incidence(p, n, branch)
-        self.rhs.append((self.branch_row(branch), value))
-
     def branch_rhs(self, branch, value):
         self.rhs.append((self.branch_row(branch), value))
 

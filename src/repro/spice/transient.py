@@ -44,30 +44,6 @@ from repro.spice.solver import (DEFAULT_VSTEP_MAX, gmin_step_solve,
 from repro.spice.waveforms import merge_breakpoints
 
 
-#: Process-wide default lane width for batched sweeps (0 = lanes off).
-_LANES_DEFAULT = 0
-
-
-def set_lanes_default(width: int) -> int:
-    """Set the process-wide default lane width for batched Rop sweeps.
-
-    ``0`` (the default) keeps every sweep on the serial path, one
-    transient per point — the lanes' parity baseline.
-    ``width >= 2`` lets the batch executor group same-topology sweep
-    points into multi-lane transients of at most ``width`` lanes (see
-    :mod:`repro.spice.lanes`).  Returns the previous value.
-    """
-    global _LANES_DEFAULT
-    previous = _LANES_DEFAULT
-    _LANES_DEFAULT = max(0, int(width))
-    return previous
-
-
-def lanes_default() -> int:
-    """Current process-wide default lane width (0 = lanes off)."""
-    return _LANES_DEFAULT
-
-
 class RescueEvent:
     """One transient step that only converged through a rescue stage."""
 

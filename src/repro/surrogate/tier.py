@@ -33,8 +33,6 @@ untouched.
 
 from __future__ import annotations
 
-import math
-
 from repro.analysis.border import BorderResult
 from repro.defects.catalog import Defect
 from repro.diagnostics import diagnostics
@@ -279,7 +277,3 @@ def resolve_tier(surrogate) -> SurrogateTier | None:
     if isinstance(surrogate, SurrogateTier):
         return surrogate if surrogate.enabled else None
     raise ValueError(f"unknown surrogate policy {surrogate!r}")
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)

@@ -8,10 +8,11 @@ from repro.core import montecarlo
 from repro.core.montecarlo import (
     DirectionRobustness,
     VariationSpec,
-    _mc_sample_task,
+    _mc_sample,
     direction_robustness,
 )
 from repro.defects import Defect, DefectKind
+from repro.diagnostics import reset_diagnostics
 from repro.dram.tech import default_tech
 
 import numpy as np
@@ -19,6 +20,17 @@ import numpy as np
 
 def _factory(defect, stress, tech):
     return behavioral_model(defect, stress=stress, tech=tech)
+
+
+class Boom(RuntimeError):
+    """A sample failure the study has no special name for."""
+
+
+def _booming_factory(defect, stress, tech):
+    """Builds the unperturbed reference; raises on every sample."""
+    if tech != default_tech():
+        raise Boom("perturbed technology")
+    return _factory(defect, stress, tech)
 
 
 class TestVariationSpec:
@@ -93,8 +105,8 @@ def _bits(border):
 class TestSeededSamples:
     def test_seeded_borders_equal_unseeded(self, monkeypatch):
         """Each sample's nominal border seeds both ST extremes'
-        searches, on the serial path and in the pool task; every seeded
-        border equals a search from scratch, bit for bit."""
+        searches, in the study and in one sample run on its own; every
+        seeded border equals a search from scratch, bit for bit."""
         seeded = []
 
         def recording(model, defect, *, prior=None, **kwargs):
@@ -112,9 +124,10 @@ class TestSeededSamples:
                                       samples=2, seed=11)
         tech = VariationSpec().sample(default_tech(),
                                       np.random.default_rng(3))
-        task_border, _, _ = _mc_sample_task(
-            (tech, _factory, defect, NOMINAL_STRESS, kinds, 0.08,
-             "raise"))
+        task_border, _ = _mc_sample(
+            tech, model_factory=_factory, defect=defect,
+            base=NOMINAL_STRESS, kinds=kinds, rel_tol=0.08,
+            on_error="raise")
 
         assert len(seeded) == 3 * len(kinds) * 2
         assert {prior for _, _, prior, _ in seeded} == \
@@ -123,6 +136,22 @@ class TestSeededSamples:
             fresh = find_border_resistance(model, defect, prior=None,
                                            **kwargs)
             assert _bits(border) == _bits(fresh), kwargs["stress"]
+
+
+class TestIsolatedSamples:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_keep_their_kind_at_every_worker_count(self,
+                                                            workers):
+        """A dropped sample is recorded under its exception's type
+        wherever it ran, in-process or in a pool worker."""
+        diag = reset_diagnostics()
+        report = direction_robustness(
+            _booming_factory, Defect(DefectKind.O3),
+            kinds=(StressKind.VDD,), samples=3, seed=5, workers=workers,
+            on_error="isolate")
+        assert report.failed_samples == 3
+        assert not report.border_samples
+        assert diag.failure_kinds == {"Boom": 3}
 
 
 class TestDirectionRobustnessMath:

@@ -272,30 +272,60 @@ class TestCheckpointLayout:
         assert cache.store is ckpt.store
 
 
+def _engine_model_on(defect, stress, tech):
+    """A Monte-Carlo model factory on the default engine (picklable)."""
+    from repro.engine import EngineModel
+    return EngineModel(defect, stress=stress, tech=tech)
+
+
 class TestWorkerCheckpoint:
-    def test_worker_results_land_in_the_store_and_resume(self, tmp_path):
-        """A pooled Table 1 on a checkpoint keeps its workers' results:
-        the resumed run recalls every sequence from the store."""
+    """A pooled study on a checkpoint keeps its workers' results: the
+    resumed run recalls every sequence from the store."""
+
+    DEFECTS = (Defect(DefectKind.O3), Defect(DefectKind.SG))
+
+    @staticmethod
+    def _cold_then_resumed(tmp_path, study):
         from repro.engine import set_default_engine
-        from repro.experiments import table1_optimization
-        defects = (Defect(DefectKind.O3), Defect(DefectKind.SG))
 
         def run(resume):
             ckpt = SweepCheckpoint(tmp_path / "ck", resume=resume)
             engine = BatchExecutor(cache=ckpt.cache(), journal=ckpt.journal)
             set_default_engine(engine)
             try:
-                table = table1_optimization(defects=defects, workers=2,
-                                            engine=True)
+                text = study()
             finally:
                 ckpt.close()
-            return table.render(), engine.stats
+            return text, engine.stats
 
-        table, cold = run(resume=False)
+        text, cold = run(resume=False)
         assert cold.misses > 0
         assert list((tmp_path / "ck" / "store" / "segments").glob("*.seg"))
         again, warm = run(resume=True)
-        assert again == table
+        assert again == text
         assert warm.misses == 0 and warm.cycles_simulated == 0
         assert warm.disk_hits > 0
         assert warm.hits == cold.hits + cold.misses
+
+    def test_worker_results_land_in_the_store_and_resume(self, tmp_path):
+        from repro.experiments import table1_optimization
+        self._cold_then_resumed(tmp_path, lambda: table1_optimization(
+            defects=self.DEFECTS, workers=2, engine=True).render())
+
+    def test_pooled_statistical_baseline_resumes(self, tmp_path):
+        from functools import partial
+
+        from repro.core.statistical import statistical_optimization
+        from repro.experiments.figures import make_model
+        from repro.stress import StressKind
+        factory = partial(make_model, backend="behavioral", engine=True)
+        self._cold_then_resumed(tmp_path, lambda: statistical_optimization(
+            factory, defects=self.DEFECTS, kinds=(StressKind.VDD,),
+            points_per_defect=2, workers=2).describe())
+
+    def test_pooled_monte_carlo_resumes(self, tmp_path):
+        from repro.core.montecarlo import direction_robustness
+        from repro.stress import StressKind
+        self._cold_then_resumed(tmp_path, lambda: direction_robustness(
+            _engine_model_on, self.DEFECTS[0], kinds=(StressKind.VDD,),
+            samples=3, seed=5, workers=2).render())
