@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.spice.errors import NetlistError
 from repro.spice.netlist import Device, Node, Stamper
 from repro.spice.waveforms import Constant, Waveform
@@ -165,23 +163,6 @@ class CurrentSource(Device):
 
     def stamp_source(self, st: Stamper) -> None:
         st.current(self.p, self.n, self.waveform.value(st.ctx.time))
-
-
-def diode_iv_vec(v: np.ndarray, vt: np.ndarray, isat: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :meth:`Diode.iv` over per-device parameter arrays.
-
-    ``vt`` is the temperature-resolved ``emission * kT/q`` and ``isat``
-    the temperature-resolved saturation current.  Element-for-element
-    bitwise-identical to the scalar method: the exponential goes through
-    the same scalar ``math.exp`` (numpy's SIMD ``exp`` differs in the
-    last ulp) while the surrounding arithmetic is vectorized.
-    """
-    arg = np.minimum(v / vt, _EXP_CLAMP)
-    e = np.fromiter((math.exp(float(a)) for a in arg), float, len(arg))
-    i = isat * (e - 1.0)
-    gd = isat * e / vt
-    return i, gd
 
 
 class Diode(Device):

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.spice.errors import NetlistError
 from repro.spice.devices import thermal_voltage
 from repro.spice.netlist import Device, Node, Stamper
@@ -151,7 +149,8 @@ def mosfet_ids(beta: float, nvt: float, vth: float, lam: float,
     """Drain current of :func:`mosfet_curves` alone, from resolved parameters.
 
     ``beta``/``nvt``/``vth``/``lam`` are the temperature-resolved device
-    parameters of :func:`mosfet_curves_vec`.  Same operations in the same
+    parameters (``kp_at(T) * w/l``, ``n_ss * vt(T)``, ``vth_at(T)``,
+    channel-length modulation).  Same operations in the same
     order as :func:`mosfet_curves`, so the result is bitwise its ``ids``;
     a caller that evaluates one device many times at one temperature
     resolves the parameters once instead of per call.
@@ -161,53 +160,6 @@ def mosfet_ids(beta: float, nvt: float, vth: float, lam: float,
     if vds < veff:  # triode
         return beta * (veff - 0.5 * vds) * vds * clm
     return 0.5 * beta * veff * veff * clm
-
-
-def _softplus_each(u: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_softplus` via the scalar math kernel.
-
-    numpy's SIMD ``exp``/``log1p`` differ from libm in the last ulp;
-    routing the (tiny) transcendental core through the scalar functions
-    keeps the vectorized path bitwise-identical to the per-device one.
-    """
-    return np.fromiter((_softplus(float(v)) for v in u), float, len(u))
-
-
-def _sigmoid_each(u: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_sigmoid` via the scalar math kernel."""
-    return np.fromiter((_sigmoid(float(v)) for v in u), float, len(u))
-
-
-def mosfet_curves_vec(beta: np.ndarray, nvt: np.ndarray, vth: np.ndarray,
-                      lam: np.ndarray, vgs: np.ndarray, vds: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`mosfet_curves` over per-device parameter arrays.
-
-    ``beta``/``nvt``/``vth``/``lam`` are the temperature-resolved device
-    parameters (``kp_at(T) * w/l``, ``n_ss * vt(T)``, ``vth_at(T)``,
-    channel-length modulation); ``vgs``/``vds`` the NMOS-frame terminal
-    voltages with ``vds >= 0``.  Element-for-element bitwise-identical
-    to the scalar function: every arithmetic step mirrors its operation
-    order and the transcendentals go through the same scalar kernels.
-    """
-    vov = vgs - vth
-    u = vov / nvt
-    veff = nvt * _softplus_each(u)
-    dveff = _sigmoid_each(u)
-    clm = 1.0 + lam * vds
-    tri = vds < veff
-    ids_tri = beta * (veff - 0.5 * vds) * vds * clm
-    gm_tri = beta * vds * clm * dveff
-    gds_tri = beta * ((veff - vds) * clm
-                      + (veff - 0.5 * vds) * vds * lam)
-    half_beta_veff2 = 0.5 * beta * veff * veff
-    ids_sat = half_beta_veff2 * clm
-    gm_sat = beta * veff * clm * dveff
-    gds_sat = half_beta_veff2 * lam
-    ids = np.where(tri, ids_tri, ids_sat)
-    gm = np.where(tri, gm_tri, gm_sat)
-    gds = np.where(tri, gds_tri, gds_sat)
-    return ids, gm, gds
 
 
 class Mosfet(Device):
