@@ -31,12 +31,11 @@ from repro.analysis.detection import (
     DetectionCondition,
     derive_detection_condition,
 )
-from repro.analysis.interface import ColumnModel, electrical_model
+from repro.analysis.interface import ColumnModel
 from repro.core.border import find_border_resistance, more_effective
 from repro.core.directions import DirectionCall, analyze_direction
 from repro.core.stresses import (
     NOMINAL_STRESS,
-    STRESS_RANGES,
     StressConditions,
     StressKind,
 )

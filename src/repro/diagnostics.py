@@ -100,8 +100,9 @@ class RunDiagnostics:
     rescue and retry machinery gave up); ``rescues`` counts solves that
     only succeeded through a fallback ladder; ``retries`` counts batch
     items re-driven after a worker crash; ``timeouts`` and
-    ``worker_crashes`` break the failure causes down; ``cache_evictions``
-    counts corrupted on-disk cache entries deleted on read.
+    ``worker_crashes`` break the failure causes down;
+    ``cache_quarantined`` and ``cache_skipped`` count the store records
+    and garbled segment spans set aside on read.
 
     ``counts`` holds the dotted activity counters of every layer (always
     on, informational: they never make a run ``eventful``); ``times``
@@ -114,7 +115,6 @@ class RunDiagnostics:
     retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
-    cache_evictions: int = 0
     cache_quarantined: int = 0
     cache_skipped: int = 0
     journal_recovered: int = 0
@@ -184,13 +184,6 @@ class RunDiagnostics:
         get_logger("diagnostics").warning(
             "worker process crashed; respawning pool")
 
-    def record_cache_eviction(self, path: str = "") -> None:
-        """One corrupted on-disk cache entry deleted."""
-        self.cache_evictions += 1
-        get_logger("diagnostics").warning(
-            "evicted corrupted cache entry%s",
-            f" {path}" if path else "")
-
     def record_cache_quarantine(self, path: str = "",
                                 reason: str = "") -> None:
         """One store record that failed integrity verification; a copy
@@ -234,7 +227,7 @@ class RunDiagnostics:
     def eventful(self) -> bool:
         """Did anything noteworthy happen this run?"""
         return bool(self.failures or self.rescues or self.retries
-                    or self.worker_crashes or self.cache_evictions
+                    or self.worker_crashes
                     or self.cache_quarantined or self.cache_skipped
                     or self.journal_recovered or self.journal_holes
                     or self.journal_missing)
@@ -251,9 +244,6 @@ class RunDiagnostics:
             lines.append(f"  timeouts: {self.timeouts}")
         if self.worker_crashes:
             lines.append(f"  worker crashes: {self.worker_crashes}")
-        if self.cache_evictions:
-            lines.append(f"  corrupted cache entries evicted: "
-                         f"{self.cache_evictions}")
         if self.cache_quarantined:
             lines.append(f"  store entries quarantined: "
                          f"{self.cache_quarantined}")

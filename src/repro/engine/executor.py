@@ -218,7 +218,7 @@ class BatchExecutor:
         The :class:`ResultCache` to consult/feed.  ``None`` disables
         memoization entirely (every request simulates).
     workers:
-        Default process count for :meth:`map`; ``1`` (or less) keeps
+        Process count for :meth:`map`; ``1`` (or less) keeps
         everything in-process, which is also the fallback when a batch
         has at most one miss to execute.
     on_error:
@@ -302,28 +302,22 @@ class BatchExecutor:
         self._journal_ok(key)
         return result
 
-    def map(self, requests: Sequence[SequenceRequest],
-            workers: int | None = None, *, on_error: str | None = None,
-            timeout: float | None = None,
-            max_retries: int | None = None) -> list:
+    def map(self, requests: Sequence[SequenceRequest], *,
+            on_error: str | None = None) -> list:
         """Execute a batch, returning results aligned with ``requests``.
 
         Duplicate requests (same content hash) are simulated once.
         Cache misses run in a process pool when more than one remains
         and ``workers > 1``; results always come back in input order,
         so serial and parallel execution are interchangeable.  Under
-        ``on_error="isolate"`` failed slots hold
-        :class:`FailedResult` records (shared by duplicates) and are
-        never written to the cache.
+        ``on_error="isolate"`` (the executor's policy unless this call
+        names one) failed slots hold :class:`FailedResult` records
+        (shared by duplicates) and are never written to the cache.
         """
         requests = list(requests)
-        workers = self.workers if workers is None else max(1, int(workers))
         on_error = self.on_error if on_error is None else on_error
         if on_error not in ("raise", "isolate"):
             raise ValueError(f"unknown on_error policy {on_error!r}")
-        timeout = self.timeout if timeout is None else timeout
-        max_retries = self.max_retries if max_retries is None \
-            else max(0, int(max_retries))
 
         results: dict[str, object] = {}
         pending: list[SequenceRequest] = []
@@ -361,9 +355,8 @@ class BatchExecutor:
                             group, self._run_lane_group(group, on_error)):
                         outcomes[request.content_hash] = result
             if rest:
-                if workers > 1 and len(rest) > 1:
-                    executed = self._execute_pool(rest, workers, on_error,
-                                                  timeout, max_retries)
+                if self.workers > 1 and len(rest) > 1:
+                    executed = self._execute_pool(rest, on_error)
                 else:
                     executed = [self._execute_serial(r, on_error)
                                 for r in rest]
@@ -496,12 +489,11 @@ class BatchExecutor:
                 request, exc, attempts=prior_attempts + 1)
 
     def _execute_pool(self, pending: Sequence[SequenceRequest],
-                      workers: int, on_error: str,
-                      timeout: float | None,
-                      max_retries: int) -> list:
+                      on_error: str) -> list:
         """Drive ``pending`` through per-item futures with crash/timeout
         recovery.  Returns outcomes aligned with ``pending``."""
         log = get_logger("engine")
+        timeout = self.timeout
         n = len(pending)
         outcomes: list = [_UNSET] * n
         attempts = [0] * n
@@ -514,7 +506,7 @@ class BatchExecutor:
                 diagnostics().record_retry(len(todo))
                 time.sleep(min(RETRY_BACKOFF * 2 ** (rounds - 2), 2.0))
             pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(todo)))
+                max_workers=min(self.workers, len(todo)))
             dirty = False                  # pool needs a hard teardown
             error: BaseException | None = None   # deferred re-raise
             rerun: list[int] = []
@@ -581,7 +573,7 @@ class BatchExecutor:
                 raise error
             todo = []
             for i in rerun:
-                if attempts[i] > max_retries:
+                if attempts[i] > self.max_retries:
                     # Repeat offender: last chance in-process, where a
                     # crash cannot take other items with it.
                     log.warning("request survived %d pool attempts "
@@ -626,8 +618,7 @@ def set_default_engine(engine: BatchExecutor | None) -> None:
 
 
 def configure_default_engine(*, workers: int = 1, cache: bool = True,
-                             max_entries: int = 100_000,
-                             disk_dir=None, on_error: str = "raise",
+                             on_error: str = "raise",
                              timeout: float | None = None,
                              max_retries: int = 2,
                              lanes: int | None = None,
@@ -649,9 +640,9 @@ def configure_default_engine(*, workers: int = 1, cache: bool = True,
     ``checkpoint`` (a directory) makes the run durable: results land in
     an integrity-checked store there and every completion is
     journaled (see :mod:`repro.engine.journal`); it overrides
-    ``cache=False``/``disk_dir`` because durability *is* the cache's
-    disk tier.  ``resume=True`` additionally recovers a prior
-    interrupted run's journal, skipping already-completed work.
+    ``cache=False`` because durability *is* the cache's disk tier.
+    ``resume=True`` additionally recovers a prior interrupted run's
+    journal, skipping already-completed work.
     """
     if backend is not None:
         from repro.spice.backends import set_backend_default
@@ -663,10 +654,10 @@ def configure_default_engine(*, workers: int = 1, cache: bool = True,
     if checkpoint is not None:
         from repro.engine.journal import SweepCheckpoint
         ckpt = SweepCheckpoint(checkpoint, resume=resume)
-        store = ckpt.cache(max_entries=max_entries)
+        store = ckpt.cache()
         journal = ckpt.journal
     elif cache:
-        store = ResultCache(max_entries=max_entries, disk_dir=disk_dir)
+        store = ResultCache()
     else:
         store = None
     engine = BatchExecutor(cache=store, workers=workers,
@@ -687,6 +678,10 @@ def configure_default_engine(*, workers: int = 1, cache: bool = True,
 # ----------------------------------------------------------------------
 # generic fan-out
 # ----------------------------------------------------------------------
+#: The store a pool worker keeps per store root for all its items.
+_WORKER_STORES: dict[str, ShardedStore] = {}
+
+
 def _on_fresh_engine(fn: Callable[[_T], _R], store_root: str | None,
                      item: _T) -> tuple[_R, EngineStats]:
     """Pool-worker side of :func:`parallel_map`: ``fn(item)`` on a fresh
@@ -694,21 +689,24 @@ def _on_fresh_engine(fn: Callable[[_T], _R], store_root: str | None,
 
     A forked worker inherits the parent's engine, whose pool it must not
     nest.  When the parent's cache has a durable store, the fresh cache
-    is backed by a store on the same root, closed after the item: the
-    worker appends its results to its own segment and reads every other
-    process's, so a checkpointed run keeps them and a resumed one
-    recalls them.
+    is backed by the worker's store on the same root, opened by its
+    first item and kept for the rest (every put is already durable):
+    the worker appends its results to one segment of its own and reads
+    every other process's, so a checkpointed run keeps them and a
+    resumed one recalls them.
     """
     previous = _DEFAULT_ENGINE
-    store = ShardedStore(store_root) if store_root is not None else None
+    store = None
+    if store_root is not None:
+        store = _WORKER_STORES.get(store_root)
+        if store is None:
+            store = _WORKER_STORES[store_root] = ShardedStore(store_root)
     engine = BatchExecutor(cache=ResultCache(store=store))
     set_default_engine(engine)
     try:
         return fn(item), engine.stats
     finally:
         set_default_engine(previous)
-        if store is not None:
-            store.close()
 
 
 def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],

@@ -218,9 +218,9 @@ class SweepCheckpoint:
                                     resume=resume, fsync=fsync)
         self.resume = resume
 
-    def cache(self, max_entries: int = 100_000) -> ResultCache:
+    def cache(self) -> ResultCache:
         """A result cache whose disk tier is this checkpoint's store."""
-        return ResultCache(max_entries=max_entries, store=self.store)
+        return ResultCache(store=self.store)
 
     def close(self) -> None:
         """Release the journal and store descriptors."""

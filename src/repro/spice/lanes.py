@@ -595,13 +595,12 @@ class LaneBatchResult:
     """Outcome of one :func:`lane_transient` run.
 
     ``results[k]`` is the lane's :class:`TransientResult`, or ``None``
-    when the lane was isolated (``isolated[k]`` true) and must be
-    re-run on the serial path.  ``counters`` holds the lane
-    bookkeeping that feeds :mod:`repro.diagnostics`.
+    when the lane was isolated and must be re-run on the serial path.
+    ``counters`` holds the lane bookkeeping that feeds
+    :mod:`repro.diagnostics`.
     """
 
     results: list
-    isolated: np.ndarray
     counters: dict = field(default_factory=dict)
 
 
@@ -751,5 +750,4 @@ def lane_transient(lanes: LaneSystem, tstop: float, dt: float, *,
                         final_x=x2[k].copy(), rescues=[])
         if alive[k] else None
         for k in range(n_lanes)]
-    return LaneBatchResult(results=results, isolated=~alive,
-                           counters=counters)
+    return LaneBatchResult(results=results, counters=counters)

@@ -312,16 +312,38 @@ class TestWorkerCheckpoint:
         self._cold_then_resumed(tmp_path, lambda: table1_optimization(
             defects=self.DEFECTS, workers=2, engine=True).render())
 
-    def test_pooled_statistical_baseline_resumes(self, tmp_path):
+    WORKERS = 2
+
+    def _statistical_baseline(self) -> str:
         from functools import partial
 
         from repro.core.statistical import statistical_optimization
         from repro.experiments.figures import make_model
         from repro.stress import StressKind
         factory = partial(make_model, backend="behavioral", engine=True)
-        self._cold_then_resumed(tmp_path, lambda: statistical_optimization(
+        return statistical_optimization(
             factory, defects=self.DEFECTS, kinds=(StressKind.VDD,),
-            points_per_defect=2, workers=2).describe())
+            points_per_defect=2, workers=self.WORKERS).describe()
+
+    def test_pooled_statistical_baseline_resumes(self, tmp_path):
+        self._cold_then_resumed(tmp_path, self._statistical_baseline)
+
+    def test_pooled_items_share_their_workers_segments(self, tmp_path):
+        """A worker process keeps one store for all its items, so a
+        pooled study leaves at most one segment per worker beside the
+        parent's own, however many items it runs."""
+        from repro.engine import set_default_engine
+
+        ckpt = SweepCheckpoint(tmp_path / "ck")
+        set_default_engine(BatchExecutor(cache=ckpt.cache(),
+                                         journal=ckpt.journal))
+        try:
+            self._statistical_baseline()
+        finally:
+            ckpt.close()
+        segments = list((tmp_path / "ck" / "store" / "segments")
+                        .glob("*.seg"))
+        assert 1 <= len(segments) <= self.WORKERS + 1
 
     def test_pooled_monte_carlo_resumes(self, tmp_path):
         from repro.core.montecarlo import direction_robustness

@@ -91,12 +91,10 @@ class TestCounters:
         diag.record_rescue("source")
         diag.record_retry(3)
         diag.record_worker_crash()
-        diag.record_cache_eviction("/tmp/ab/abc.pkl")
         assert diag.rescues == 3
         assert diag.rescue_stages == {"gmin": 2, "source": 1}
         assert diag.retries == 3
         assert diag.worker_crashes == 1
-        assert diag.cache_evictions == 1
 
 
 class TestSummary:
